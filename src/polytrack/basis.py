@@ -70,6 +70,7 @@ class MonomialBasis:
         self._exponents = flat
         self._index = {e: j for j, e in enumerate(flat)}
         self._product_table: np.ndarray | None = None
+        self._derivative_table: np.ndarray | None = None
 
     def block_size(self, degree: int) -> int:
         return self.blocks[degree].shape[0]
@@ -98,6 +99,23 @@ class MonomialBasis:
             t.setflags(write=False)
             self._product_table = t
         return self._product_table
+
+    @property
+    def derivative_table(self) -> np.ndarray:
+        """Rows (source, variable, target, multiplier), one column per non-zero derivative.
+
+        d(monomial `source`)/d(x_variable) = multiplier * monomial `target`,
+        where `target` indexes the order-(max_order - 1) basis, a prefix of
+        this one.  Columns run by source, then variable.
+        """
+        if self._derivative_table is None:
+            cols = [(s, v, self._index[e[:v] + (e[v] - 1,) + e[v + 1:]], e[v])
+                    for s, e in enumerate(self._exponents)
+                    for v in range(self.n_vars) if e[v]]
+            t = np.array(cols, dtype=np.int64).reshape(-1, 4).T.copy()
+            t.setflags(write=False)
+            self._derivative_table = t
+        return self._derivative_table
 
     def eval_flat(self, x: np.ndarray) -> np.ndarray:
         """Values of every monomial (all degrees) at a point."""

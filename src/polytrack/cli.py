@@ -141,8 +141,7 @@ def cmd_train(args) -> int:
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         raise CliError(f"bad training data: {exc}")
     config = training.TrainConfig(learning_rate=args.lr, epochs=args.epochs,
-                                  sym_weight=args.sym_weight, seed=args.seed,
-                                  clip_norm=args.clip_norm,
+                                  sym_weight=args.sym_weight, clip_norm=args.clip_norm,
                                   trainable_labels=args.trainable.split(",") if args.trainable else None,
                                   fit_initial_condition=args.fit_x0)
     try:
@@ -275,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--lr", type=float, default=1e-3)
     tr.add_argument("--sym-weight", type=float, default=1.0)
     tr.add_argument("--clip-norm", type=float, default=1.0)
-    tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--trainable", default=None, help="comma-separated layer labels")
     tr.add_argument("--fit-x0", action="store_true")
     tr.add_argument("--report", default=None)

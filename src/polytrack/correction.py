@@ -10,7 +10,7 @@ optics) or by running the Adam engine on the corrector kick weights.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,12 +99,10 @@ class CorrectionResult:
     rms_after: float
     iterations: int
     network: Network
-    feasible: bool = True
 
     def to_json(self) -> str:
         return json.dumps({"kicks": self.kicks, "rms_before": self.rms_before,
-                           "rms_after": self.rms_after, "iterations": self.iterations,
-                           "feasible": self.feasible}, indent=1)
+                           "rms_after": self.rms_after, "iterations": self.iterations}, indent=1)
 
     def kicks_csv(self) -> str:
         lines = ["corrector,kick"]
@@ -195,7 +193,7 @@ def _adam_kicks(net: Network, names, target, mask_flat, x0, c_max, config):
     if config is None:
         config = TrainConfig(learning_rate=1e-5, epochs=4000, sym_weight=0.0,
                              clip_norm=1e-2)
-    config.trainable_labels = list(names)
+    config = replace(config, trainable_labels=list(names))
     trained, report = train(work, [sample], config)
     kicks = np.array([get_kicks(trained)[n] for n in names])
     return np.clip(kicks, -c_max, c_max), config.epochs

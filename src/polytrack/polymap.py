@@ -196,19 +196,9 @@ def jacobian(tmap: TaylorMap, wrt: int | None = None) -> PolyMatrix:
     inputs.
     """
     n_cols = tmap.n_in if wrt is None else wrt
-    k = tmap.order
-    jbasis = get_basis(tmap.n_in, max(k - 1, 0))
+    table = tmap.basis.derivative_table
+    src, var, tgt, mult = table[:, table[1] < n_cols]
+    jbasis = get_basis(tmap.n_in, max(tmap.order - 1, 0))
     coeffs = np.zeros((tmap.n_out, n_cols, jbasis.size))
-    src = get_basis(tmap.n_in, k)
-    for d in range(1, k + 1):
-        exps = src.blocks[d]
-        wd = tmap.weights[d]
-        for j in range(exps.shape[0]):
-            e = exps[j]
-            for v in range(n_cols):
-                if e[v] == 0:
-                    continue
-                de = e.copy()
-                de[v] -= 1
-                coeffs[:, v, jbasis.index_of(de)] += e[v] * wd[:, j]
+    coeffs[:, var, tgt] += mult * tmap.flat_coefficients()[:, src]  # one source per target
     return PolyMatrix(tmap.n_out, n_cols, jbasis, coeffs)

@@ -4,6 +4,11 @@ For a map M with Jacobian D(X0) the residual is D^T J D - J, expanded as
 polynomials in X0.  The penalty is the sum of squares of all coefficients
 of that expansion, so it does not depend on inputs: it vanishes exactly
 when the map is symplectic as a polynomial identity up to its own degree.
+
+The expansion sums every product of a coefficient of D with one of J D onto
+the monomial the basis product table gives for that pair.  The penalty
+gradient reuses that expansion and reaches the weights through the basis
+derivative table, the same table `polymap.jacobian` gathers with.
 """
 
 from __future__ import annotations
@@ -47,6 +52,41 @@ def _check(tmap: TaylorMap, phase_dim: int | None) -> int:
     return pd
 
 
+def _residual(tmap: TaylorMap, phase_dim: int | None) -> tuple[PolyMatrix, np.ndarray]:
+    """The residual D^T J D - J and the product J D, each built once.
+
+    D[i, a, p] is the p-th coefficient of d(output i)/d(input a); every
+    product D[:, a, p] . (J D)[:, b, p'] lands on monomial product_table[p, p'].
+    """
+    pd = _check(tmap, phase_dim)
+    j = _interleaved_form(pd)
+    d = jacobian(tmap, wrt=pd).coeffs  # (pd, pd, nsrc) over basis(n_in, k-1)
+    jd = np.einsum("ij,jbp->ibp", j, d)
+    nsrc = d.shape[2]
+    target = get_basis(tmap.n_in, max(2 * (tmap.order - 1), 0))
+    res = np.zeros((pd, pd, target.size))
+    np.add.at(res, (slice(None), slice(None), target.product_table[:nsrc, :nsrc]),
+              np.einsum("iap,ibq->abpq", d, jd))
+    res[:, :, 0] -= j
+    return PolyMatrix(pd, pd, target, res), jd
+
+
+def _weight_gradient(tmap: TaylorMap, residual: PolyMatrix, jd: np.ndarray) -> list[np.ndarray]:
+    """d(penalty)/d(weights) from the residual and J D that `_residual` built."""
+    nsrc = jd.shape[2]
+    r = residual.coeffs[:, :, residual.basis.product_table[:nsrc, :nsrc]]
+    # S = sum R[a,b,q]^2.  D enters R as first and as second factor; by the
+    # antisymmetry of R and J both give
+    # dS/dD[i,a,p] = 2 sum_{b,p'} R[a, b, table[p, p']] (J D)[i, b, p'].
+    g = 4.0 * np.einsum("abpq,ibq->iap", r, jd)
+    # Chain back to the weights: D[i, v, target] = multiplier * W[i, source].
+    table = tmap.basis.derivative_table
+    src, var, tgt, mult = table[:, table[1] < residual.n_rows]
+    flat = np.zeros((tmap.n_out, tmap.basis.size))
+    np.add.at(flat, (slice(None), src), mult * g[:, var, tgt])
+    return np.split(flat, tmap.basis.offsets[1:], axis=1)
+
+
 def symplectic_residual(tmap: TaylorMap, phase_dim: int | None = None) -> PolyMatrix:
     """Coefficients of D^T J D - J over the degree-2(k-1) basis.
 
@@ -54,27 +94,7 @@ def symplectic_residual(tmap: TaylorMap, phase_dim: int | None = None) -> PolyMa
     Jacobian is taken only with respect to phase-space coordinates, and the
     parameter symbols stay inside the coefficients.
     """
-    pd = _check(tmap, phase_dim)
-    k = tmap.order
-    jac = jacobian(tmap, wrt=pd)  # (n_out, pd) polys over basis(n_in, k-1)
-    target = get_basis(tmap.n_in, max(2 * (k - 1), 0))
-    j = _interleaved_form(pd)
-    nsrc = jac.basis.size
-    d = np.zeros((tmap.n_out, pd, target.size))
-    d[:, :, :nsrc] = jac.coeffs  # same ordering: lower basis is a prefix
-    res = np.zeros((pd, pd, target.size))
-    for a in range(pd):
-        for b in range(a + 1, pd):
-            # R is antisymmetric; compute the upper triangle only
-            acc = np.zeros(target.size)
-            for i in range(tmap.n_out):
-                for ip in range(tmap.n_out):
-                    if j[i, ip] != 0:
-                        acc += j[i, ip] * target.multiply(d[i, a], d[ip, b])
-            acc[0] -= j[a, b]
-            res[a, b] = acc
-            res[b, a] = -acc
-    return PolyMatrix(pd, pd, target, res)
+    return _residual(tmap, phase_dim)[0]
 
 
 def symplectic_penalty(tmap: TaylorMap, phase_dim: int | None = None) -> float:
@@ -84,43 +104,4 @@ def symplectic_penalty(tmap: TaylorMap, phase_dim: int | None = None) -> float:
 
 def penalty_gradient(tmap: TaylorMap, phase_dim: int | None = None) -> list[np.ndarray]:
     """d(penalty)/d(weight entry) for every weight block (W0 block is zero)."""
-    pd = _check(tmap, phase_dim)
-    k = tmap.order
-    jac = jacobian(tmap, wrt=pd)
-    target = get_basis(tmap.n_in, max(2 * (k - 1), 0))
-    j = _interleaved_form(pd)
-    nsrc = jac.basis.size
-    d = np.zeros((tmap.n_out, pd, target.size))
-    d[:, :, :nsrc] = jac.coeffs
-    table = target.product_table[:nsrc, :nsrc]
-
-    r = symplectic_residual(tmap, phase_dim).coeffs
-
-    # Adjoint of the Jacobian coefficients: S = sum_q R[a,b,q]^2 with
-    # R[a,b,q] = sum J[i,i'] D[i,a,p] D[i',b,p'] over table[p,p']=q.
-    g = np.zeros((tmap.n_out, pd, nsrc))
-    for p in range(nsrc):
-        for pp in range(nsrc):
-            q = table[p, pp]
-            if q < 0:
-                continue
-            # first-factor term: dR[a,b,q]/dD[i,a,p] = J[i,i'] D[i',b,pp]
-            g[:, :, p] += 2.0 * (j @ d[:, :, pp]) @ r[:, :, q].T
-            # second-factor term: dR[a,b,q]/dD[i',b,pp] handled by symmetry
-            g[:, :, pp] += 2.0 * (j.T @ d[:, :, p]) @ r[:, :, q]
-
-    # Chain back to the weights: D[r, v, idx(e - e_v)] += e_v * W_d[r, c].
-    grads = [np.zeros_like(w) for w in tmap.weights]
-    src = get_basis(tmap.n_in, k)
-    jbasis = jac.basis
-    for deg in range(1, k + 1):
-        exps = src.blocks[deg]
-        for c in range(exps.shape[0]):
-            e = exps[c]
-            for v in range(pd):
-                if e[v] == 0:
-                    continue
-                de = e.copy()
-                de[v] -= 1
-                grads[deg][:, c] += e[v] * g[:, v, jbasis.index_of(de)]
-    return grads
+    return _weight_gradient(tmap, *_residual(tmap, phase_dim))

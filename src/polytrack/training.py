@@ -17,7 +17,7 @@ import numpy as np
 
 from .network import Network, TrackRecord, _layer_input
 from .polymap import evaluate, jacobian, kron_power
-from .symplectic import penalty_gradient, symplectic_penalty
+from .symplectic import _residual, _weight_gradient, symplectic_penalty
 
 
 class TrainingDivergence(RuntimeError):
@@ -36,7 +36,6 @@ class TrainConfig:
     epochs: int = 100
     sym_weight: float = 1.0
     trainable_labels: list | None = None  # None: use per-layer flags
-    seed: int = 0
     fit_initial_condition: bool = False
     fit_parameters: bool = False  # treat bound parameter values like X0
 
@@ -71,11 +70,10 @@ class TrainReport:
     me: list = field(default_factory=list)
     sym: list = field(default_factory=list)
     epochs: int = 0
-    seed: int = 0
 
     def to_json(self) -> str:
-        return json.dumps({"epochs": self.epochs, "seed": self.seed,
-                           "loss": self.loss, "me": self.me, "sym": self.sym}, indent=1)
+        return json.dumps({"epochs": self.epochs, "loss": self.loss, "me": self.me,
+                           "sym": self.sym}, indent=1)
 
 
 def _trainable_indices(net: Network, config: TrainConfig | None = None) -> list[int]:
@@ -182,11 +180,11 @@ def gradients(net: Network, samples, sym_weight: float = 1.0,
 
     s = 0.0
     for i in trainable:
-        layer = net.layers[i]
-        s_i = symplectic_penalty(layer.map, n)
-        s += s_i
+        tmap = net.layers[i].map
+        residual, jd = _residual(tmap, n)
+        s += float(np.sum(residual.coeffs ** 2))
         if sym_weight != 0.0:
-            for gw, gp in zip(grads[i], penalty_gradient(layer.map, n)):
+            for gw, gp in zip(grads[i], _weight_gradient(tmap, residual, jd)):
                 gw += sym_weight * gp
     for i in trainable:
         for gw, m in zip(grads[i], net.layers[i].trainable_mask()):
@@ -195,12 +193,12 @@ def gradients(net: Network, samples, sym_weight: float = 1.0,
 
 
 def train(net: Network, samples, config: TrainConfig) -> tuple[Network, TrainReport]:
-    """Adam with global-norm gradient clipping; deterministic given the seed."""
+    """Adam with global-norm gradient clipping; deterministic."""
     config.validate()
     net = net.copy()
     for i, layer in enumerate(net.layers):
         net.layers[i].map = layer.map.with_weights([np.array(w) for w in layer.map.weights])
-    report = TrainReport(epochs=config.epochs, seed=config.seed)
+    report = TrainReport(epochs=config.epochs)
     trainable = _trainable_indices(net, config)
     if config.epochs == 0:
         return net, report

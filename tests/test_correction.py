@@ -9,6 +9,7 @@ from polytrack.correction import (CorrectionResult, InfeasibleCorrection,
                                   response_matrix, set_kicks,
                                   simulate_readings, thread_beam)
 from polytrack.network import forward
+from polytrack.training import TrainConfig
 
 from conftest import achromat_text, build, transfer_line_text
 
@@ -71,6 +72,18 @@ def test_lstsq_and_adam_agree():
     b = correct_orbit(ideal, observed, method="adam")
     for name in a.kicks:
         assert abs(a.kicks[name] - b.kicks[name]) <= 1e-8
+
+
+def test_adam_correction_leaves_config_untouched():
+    text = ("c: hcorrector, kick=0.0;\nd: drift, l=2.0;\nm: monitor;\n"
+            "s: sequence = (c, d, m);")
+    net = build(text, merge="minimal")
+    machine = net.copy()
+    set_kicks(machine, {"c": 5e-4})
+    observed = simulate_readings(MachineSim(machine), np.zeros(4))
+    config = TrainConfig(epochs=3)
+    correct_orbit(net, observed, method="adam", adam_config=config)
+    assert config.trainable_labels is None
 
 
 def test_kicks_clipped_to_limit():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytrack.basis import n_monomials
+from polytrack.basis import get_basis, n_monomials
 from polytrack.elements import drift_map, parametric_quad_map
 from polytrack.polymap import (ShapeError, TaylorMap, compose, compose_chain,
                                evaluate, evaluate_batch, jacobian, kron_power)
@@ -229,6 +229,37 @@ def test_jacobian_of_square_output():
     m = TaylorMap(2, 1, 2, tuple(w))
     row = jacobian(m)(np.array([0.3, 0.7]))
     np.testing.assert_allclose(row, [[0.6, 0.0]], atol=1e-15)
+
+
+def _reference_jacobian_coeffs(tmap, wrt=None):
+    """Differentiate monomial by monomial, variable by variable."""
+    n_cols = tmap.n_in if wrt is None else wrt
+    k = tmap.order
+    jbasis = get_basis(tmap.n_in, max(k - 1, 0))
+    coeffs = np.zeros((tmap.n_out, n_cols, jbasis.size))
+    src = get_basis(tmap.n_in, k)
+    for d in range(1, k + 1):
+        exps = src.blocks[d]
+        wd = tmap.weights[d]
+        for j in range(exps.shape[0]):
+            e = exps[j]
+            for v in range(n_cols):
+                if e[v] == 0:
+                    continue
+                de = e.copy()
+                de[v] -= 1
+                coeffs[:, v, jbasis.index_of(de)] += e[v] * wd[:, j]
+    return coeffs
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("n_in", [1, 2, 3, 4, 5])
+def test_jacobian_bit_equal_to_reference_loop(rng, n_in, order):
+    m = random_map(rng, n_in, 3, order=order)
+    for wrt in [None, *range(n_in)]:
+        jac = jacobian(m, wrt=wrt)
+        assert jac.basis is get_basis(n_in, order - 1)
+        assert jac.coeffs.tobytes() == _reference_jacobian_coeffs(m, wrt).tobytes()
 
 
 @given(seed=st.integers(0, 10_000))

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from polytrack.elements import (corrector_map, drift_map, quad_map, sbend_map,
-                                sextupole_map)
-from polytrack.polymap import TaylorMap
-from polytrack.symplectic import (penalty_gradient, symplectic_penalty,
-                                  symplectic_residual)
+from polytrack.basis import get_basis
+from polytrack.elements import (corrector_map, drift_map, parametric_quad_map,
+                                quad_map, sbend_map, sextupole_map)
+from polytrack.polymap import TaylorMap, jacobian
+from polytrack.symplectic import (_interleaved_form, penalty_gradient,
+                                  symplectic_penalty, symplectic_residual)
+
+from conftest import random_map
 
 
 def _linear_map_2d(matrix):
@@ -76,24 +79,78 @@ def test_residual_antisymmetry(rng):
 
 
 def test_penalty_gradient_matches_finite_differences(rng):
-    m = sextupole_map(0.3, 5.0, slices=2)
-    grads = penalty_gradient(m)
-    h = 1e-6
-    checked = 0
-    for d, g in enumerate(grads):
-        for _ in range(10):
-            i = int(rng.integers(g.shape[0]))
-            j = int(rng.integers(g.shape[1]))
-            wp = [w.copy() for w in m.weights]
-            wp[d][i, j] += h
-            wm = [w.copy() for w in m.weights]
-            wm[d][i, j] -= h
-            fd = (symplectic_penalty(m.with_weights(wp)) -
-                  symplectic_penalty(m.with_weights(wm))) / (2 * h)
-            scale = max(abs(fd), abs(g[i, j]), 1e-8)
-            assert abs(fd - g[i, j]) / scale <= 1e-6
-            checked += 1
-    assert checked >= 30
+    def nudged(m):  # off the exact weights, as training moves them
+        return m.with_weights([w + 1e-2 * rng.standard_normal(w.shape) for w in m.weights])
+
+    # also calibrate's qf7 case (strength as a fifth input) and an order-3 map
+    for m, pd in ((sextupole_map(0.3, 5.0, slices=2), None),
+                  (nudged(parametric_quad_map(0.5, order=2, phase_dim=4)), 4),
+                  (nudged(sextupole_map(0.3, 5.0, order=3, slices=2)), None)):
+        grads = penalty_gradient(m, pd)
+        h = 1e-6
+        checked = 0
+        for d, g in enumerate(grads):
+            for _ in range(10):
+                i = int(rng.integers(g.shape[0]))
+                j = int(rng.integers(g.shape[1]))
+                wp = [w.copy() for w in m.weights]
+                wp[d][i, j] += h
+                wm = [w.copy() for w in m.weights]
+                wm[d][i, j] -= h
+                fd = (symplectic_penalty(m.with_weights(wp), pd) -
+                      symplectic_penalty(m.with_weights(wm), pd)) / (2 * h)
+                scale = max(abs(fd), abs(g[i, j]), 1e-8)
+                assert abs(fd - g[i, j]) / scale <= 1e-6
+                checked += 1
+        assert checked >= 30
+
+
+def _reference_residual_and_gradient(tmap, pd):
+    """Residual and penalty gradient coefficient by coefficient."""
+    k = tmap.order
+    jac = jacobian(tmap, wrt=pd)
+    target = get_basis(tmap.n_in, max(2 * (k - 1), 0))
+    j = _interleaved_form(pd)
+    nsrc = jac.basis.size
+    d = np.zeros((pd, pd, target.size))
+    d[:, :, :nsrc] = jac.coeffs
+    res = np.zeros((pd, pd, target.size))
+    for a in range(pd):
+        for b in range(a + 1, pd):
+            for i in range(pd):
+                for ip in range(pd):
+                    if j[i, ip] != 0:
+                        res[a, b] += j[i, ip] * target.multiply(d[i, a], d[ip, b])
+            res[a, b, 0] -= j[a, b]
+            res[b, a] = -res[a, b]
+    g = np.zeros((pd, pd, nsrc))
+    for p in range(nsrc):
+        for pp in range(nsrc):
+            q = target.product_table[p, pp]
+            g[:, :, p] += 2.0 * (j @ d[:, :, pp]) @ res[:, :, q].T
+            g[:, :, pp] += 2.0 * (j.T @ d[:, :, p]) @ res[:, :, q]
+    grads = [np.zeros_like(w) for w in tmap.weights]
+    for deg in range(1, k + 1):
+        for c, e in enumerate(tmap.basis.blocks[deg]):
+            for v in range(pd):
+                if e[v]:
+                    de = e.copy()
+                    de[v] -= 1
+                    grads[deg][:, c] += e[v] * g[:, v, jac.basis.index_of(de)]
+    return res, grads
+
+
+def test_residual_and_gradient_match_reference_loops(rng):
+    for m, pd in ((sextupole_map(0.3, 5.0, slices=2), 4),
+                  (sextupole_map(0.3, 5.0, order=3, slices=2), 4),
+                  (parametric_quad_map(0.5, order=2, phase_dim=4), 4),
+                  (random_map(rng, 3, 2, order=3), 2)):
+        res, grads = _reference_residual_and_gradient(m, pd)
+        got = symplectic_residual(m, pd).coeffs
+        assert np.max(np.abs(got - res)) <= 1e-14 * np.max(np.abs(res))
+        scale = max(np.max(np.abs(g)) for g in grads)
+        for got, want in zip(penalty_gradient(m, pd), grads):
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
 
 def test_sextupole_residual_amplitude_scaling():

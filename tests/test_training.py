@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from polytrack import symplectic, training
 from polytrack.analysis import track_turns
 from polytrack.network import Layer, Network, TrackRecord, forward
 from polytrack.training import (TrainConfig, TrainSample, TrainingDivergence,
@@ -128,6 +129,25 @@ def test_frozen_layers_get_no_gradients(rng):
     assert set(grads) == {0, 2}
 
 
+@pytest.mark.parametrize("sym_weight", [0.0, 1.0])
+def test_one_residual_per_trainable_layer_per_epoch(rng, monkeypatch, sym_weight):
+    net = _random_net(rng)
+    net.layers[1].trainable = False
+    obs = track_turns(_random_net(rng), X0, 2, aperture=1e9)
+    calls = []
+
+    def counted(tmap, phase_dim):
+        calls.append(tmap)
+        return original(tmap, phase_dim)
+
+    original = symplectic._residual
+    monkeypatch.setattr(symplectic, "_residual", counted)
+    monkeypatch.setattr(training, "_residual", counted)
+    train(net, [TrainSample(x0=X0, observed=obs)],
+          TrainConfig(epochs=3, learning_rate=1e-6, sym_weight=sym_weight))
+    assert len(calls) == 3 * 2
+
+
 def test_zero_epochs_leaves_weights_bit_identical():
     net = _ring()
     trained, report = train(net, [_sample(net)],
@@ -197,7 +217,7 @@ def test_training_is_deterministic():
     sample_a.observed.readings += 1e-4
     sample_b = _sample(net, n_turns=2)
     sample_b.observed.readings += 1e-4
-    cfg = TrainConfig(epochs=30, trainable_labels=["bpm"], seed=7)
+    cfg = TrainConfig(epochs=30, trainable_labels=["bpm"])
     net_a, rep_a = train(net, [sample_a], cfg)
     net_b, rep_b = train(net, [sample_b], cfg)
     assert rep_a.loss == rep_b.loss
