@@ -4,6 +4,12 @@ Monomials are grouped by total degree.  Within a degree block the exponent
 tuples are ordered lexicographically descending on the first variable, then
 the second, and so on, e.g. for two variables at degree 2:
 (2,0), (1,1), (0,2).
+
+Each monomial of degree >= 1 grows from one of the degree below: it is
+monomial `parent[j]` times variable `var[j]`, its last non-zero variable.
+That growth table builds every degree-d block from the degree-(d-1) one by
+a gather and one multiply, both for values at a point (`eval_flat`) and for
+polynomials (`polymap.compose`).
 """
 
 from __future__ import annotations
@@ -69,7 +75,15 @@ class MonomialBasis:
         self.size = off
         self._exponents = flat
         self._index = {e: j for j, e in enumerate(flat)}
+        # growth table: monomial j = monomial parent[j] * x[var[j]] (entry 0 unused)
+        var = [0] + [max(v for v, p in enumerate(e) if p) for e in flat[1:]]
+        parent = [0] + [self._index[e[:v] + (e[v] - 1,) + e[v + 1:]]
+                        for e, v in zip(flat[1:], var[1:])]
+        self.parent, self.var = np.array(parent), np.array(var)
+        for t in (self.parent, self.var):
+            t.setflags(write=False)
         self._product_table: np.ndarray | None = None
+        self._product_pairs: tuple | None = None  # (i, j, table[i, j]) where that is >= 0
         self._derivative_table: np.ndarray | None = None
 
     def block_size(self, degree: int) -> int:
@@ -118,28 +132,29 @@ class MonomialBasis:
         return self._derivative_table
 
     def eval_flat(self, x: np.ndarray) -> np.ndarray:
-        """Values of every monomial (all degrees) at a point."""
+        """Values of every monomial (all degrees) at a point, grown degree by degree."""
         x = np.asarray(x, dtype=np.float64)
         out = np.empty(self.size)
-        for d in range(self.max_order + 1):
-            off = self.offsets[d]
-            m = self.block_size(d)
-            out[off:off + m] = np.prod(x[None, :] ** self.blocks[d], axis=1)
+        out[0] = 1.0
+        if self.max_order:
+            out[1:self.n_vars + 1] = x
+        for d in range(2, self.max_order + 1):
+            s = slice(self.offsets[d], self.offsets[d] + self.block_size(d))
+            np.multiply(out[self.parent[s]], x[self.var[s]], out=out[s])
         return out
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Truncated product of flat coefficient vectors."""
-        table = self.product_table
-        out = np.zeros(self.size)
-        nza = np.nonzero(a)[0]
-        nzb = np.nonzero(b)[0]
-        if len(nza) == 0 or len(nzb) == 0:
-            return out
-        idx = table[np.ix_(nza, nzb)]
-        vals = np.outer(a[nza], b[nzb])
-        keep = idx >= 0
-        np.add.at(out, idx[keep], vals[keep])
-        return out
+        """Truncated product of flat coefficient vectors; `a` and `b` are `(..., size)` rows."""
+        if self._product_pairs is None:
+            i, j = np.nonzero(self.product_table >= 0)
+            self._product_pairs = (i, j, self.product_table[i, j])
+        i, j, k = self._product_pairs
+        rows = np.reshape(a, (-1, self.size))
+        vals = rows[:, i] * np.reshape(b, (-1, self.size))[:, j]
+        # one scatter-add; bins are per row, each summed in (i, j) order
+        bins = k + self.size * np.arange(len(rows))[:, None]
+        out = np.bincount(bins.ravel(), vals.ravel(), minlength=rows.size)
+        return out.reshape(np.shape(a))
 
     def __repr__(self):
         return f"MonomialBasis(n_vars={self.n_vars}, max_order={self.max_order})"

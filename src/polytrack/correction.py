@@ -161,7 +161,8 @@ def correct_orbit(net: Network, observed: TrackRecord, mask=None, x0=None,
         raise InfeasibleCorrection(
             "no corrector is upstream of any unmasked BPM", residual=rms_before)
 
-    base = np.array([get_kicks(net)[n] for n in names])
+    current = get_kicks(net)
+    base = np.array([current[n] for n in names])
     if method == "lstsq":
         dc, *_ = np.linalg.lstsq(resp, -target, rcond=None)
         kicks = np.clip(base + dc, -c_max, c_max)
@@ -195,7 +196,8 @@ def _adam_kicks(net: Network, names, target, mask_flat, x0, c_max, config):
                              clip_norm=1e-2)
     config = replace(config, trainable_labels=list(names))
     trained, report = train(work, [sample], config)
-    kicks = np.array([get_kicks(trained)[n] for n in names])
+    fitted = get_kicks(trained)
+    kicks = np.array([fitted[n] for n in names])
     return np.clip(kicks, -c_max, c_max), config.epochs
 
 

@@ -2,12 +2,16 @@
 
 A map of order k sends X to W0 + W1 X + W2 X^[2] + ... + Wk X^[k], where
 X^[d] lists the degree-d monomials of X in the basis order of
-:mod:`polytrack.basis`.  Weight block d has one column per degree-d monomial.
+:mod:`polytrack.basis`.  Weight block d has one column per degree-d monomial;
+the blocks are views of one read-only (n_out, basis.size) flat matrix.
+The basis growth table (monomial j = monomial parent[j] * x[var[j]]) drives
+evaluation, `flat @ basis.eval_flat(x)`, and composition, which grows each
+monomial of the middle variables as a polynomial in the inputs with one
+row-wise `basis.multiply` per degree and applies the outer flat matrix.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +27,8 @@ class ShapeError(ValueError):
 def kron_power(x, degree: int, n_vars: int | None = None) -> np.ndarray:
     """Vector of all degree-`degree` monomials of x (non-redundant listing)."""
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0] if n_vars is None else n_vars
-    if degree == 0:
-        return np.ones(1)
-    exps = get_basis(n, degree).blocks[degree]
-    return np.prod(x[None, :] ** exps, axis=1)
+    basis = get_basis(x.shape[0] if n_vars is None else n_vars, degree)
+    return basis.eval_flat(x)[basis.offsets[degree]:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,15 +45,17 @@ class TaylorMap:
             raise ShapeError(f"expected {self.order + 1} weight blocks, got {len(self.weights)}")
         ws = []
         for d, w in enumerate(self.weights):
-            w = np.array(w, dtype=np.float64)
+            w = np.asarray(w, dtype=np.float64)
             want = (self.n_out, n_monomials(self.n_in, d))
             if w.shape != want:
                 raise ShapeError(f"weight block {d} has shape {w.shape}, expected {want}")
             if not np.all(np.isfinite(w)):
                 raise ValueError(f"non-finite entries in weight block {d}")
-            w.setflags(write=False)
             ws.append(w)
-        object.__setattr__(self, "weights", tuple(ws))
+        flat = np.concatenate(ws, axis=1)  # a copy: callers' arrays stay theirs
+        flat.setflags(write=False)
+        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "weights", tuple(np.split(flat, self.basis.offsets[1:], axis=1)))
 
     @property
     def basis(self) -> MonomialBasis:
@@ -86,18 +89,13 @@ class TaylorMap:
     # -- flat-coefficient view -------------------------------------------------
 
     def flat_coefficients(self) -> np.ndarray:
-        """(n_out, basis.size) coefficient matrix over the flat basis."""
-        return np.concatenate(self.weights, axis=1)
+        """Read-only (n_out, basis.size) coefficient matrix over the flat basis."""
+        return self._flat
 
     @classmethod
     def from_flat(cls, coeffs: np.ndarray, n_in: int, order: int) -> "TaylorMap":
-        basis = get_basis(n_in, order)
-        n_out = coeffs.shape[0]
-        ws = []
-        for d in range(order + 1):
-            off = basis.offsets[d]
-            ws.append(coeffs[:, off:off + basis.block_size(d)].copy())
-        return cls(n_in, n_out, order, tuple(ws))
+        blocks = np.split(coeffs, get_basis(n_in, order).offsets[1:], axis=1)
+        return cls(n_in, coeffs.shape[0], order, tuple(blocks))
 
     # -- evaluation ------------------------------------------------------------
 
@@ -113,10 +111,7 @@ def evaluate(tmap: TaylorMap, x0) -> np.ndarray:
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (tmap.n_in,):
         raise ShapeError(f"input has shape {x0.shape}, map expects ({tmap.n_in},)")
-    y = tmap.weights[0][:, 0].copy()
-    for d in range(1, tmap.order + 1):
-        y += tmap.weights[d] @ kron_power(x0, d, tmap.n_in)
-    return y
+    return tmap._flat @ tmap.basis.eval_flat(x0)
 
 
 def evaluate_batch(tmap: TaylorMap, x0s) -> np.ndarray:
@@ -140,27 +135,16 @@ def compose(first: TaylorMap, second: TaylorMap) -> TaylorMap:
     if first.order != second.order:
         raise ShapeError(f"cannot compose maps of different order ({first.order} vs {second.order})")
     k = first.order
-    basis = get_basis(first.n_in, k)
-    coords = first.flat_coefficients()  # (n_mid, N) polynomials in the inputs
-
-    # Polynomials of every monomial of `second`'s input variables, built by
-    # degree so each combo extends an already-computed suffix.
-    one = np.zeros(basis.size)
-    one[0] = 1.0
-    polys: dict[tuple[int, ...], np.ndarray] = {(): one}
-    n_mid = first.n_out
-    result = np.zeros((second.n_out, basis.size))
-    result[:, 0] = second.weights[0][:, 0]
-    for d in range(1, k + 1):
-        wd = second.weights[d]
-        for j, combo in enumerate(itertools.combinations_with_replacement(range(n_mid), d)):
-            p = basis.multiply(coords[combo[0]], polys[combo[1:]])
-            polys[combo] = p
-            col = wd[:, j]
-            nz = np.nonzero(col)[0]
-            if len(nz):
-                result[nz, :] += np.outer(col[nz], p)
-    return TaylorMap.from_flat(result, first.n_in, k)
+    basis, mid = first.basis, second.basis
+    # p[m] = monomial m of the middle variables as a polynomial in the inputs
+    p = np.zeros((mid.size, basis.size))
+    p[0, 0] = 1.0
+    if k:
+        p[1:mid.n_vars + 1] = first._flat
+    for d in range(2, k + 1):
+        s = slice(mid.offsets[d], mid.offsets[d] + mid.block_size(d))
+        p[s] = basis.multiply(p[1 + mid.var[s]], p[mid.parent[s]])
+    return TaylorMap.from_flat(second._flat @ p, first.n_in, k)
 
 
 def compose_chain(maps) -> TaylorMap:
@@ -184,8 +168,7 @@ class PolyMatrix:
     coeffs: np.ndarray  # (n_rows, n_cols, basis.size)
 
     def __call__(self, x) -> np.ndarray:
-        mono = self.basis.eval_flat(np.asarray(x, dtype=np.float64))
-        return self.coeffs @ mono
+        return self.coeffs @ self.basis.eval_flat(x)
 
 
 def jacobian(tmap: TaylorMap, wrt: int | None = None) -> PolyMatrix:

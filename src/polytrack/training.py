@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .network import Network, TrackRecord, _layer_input
-from .polymap import evaluate, jacobian, kron_power
+from .polymap import evaluate, jacobian
 from .symplectic import _residual, _weight_gradient, symplectic_penalty
 
 
@@ -70,10 +70,13 @@ class TrainReport:
     me: list = field(default_factory=list)
     sym: list = field(default_factory=list)
     epochs: int = 0
+    x0: list = field(default_factory=list)  # fitted injection state, one per sample
+    params: list = field(default_factory=list)  # fitted {name: value}, one per sample
 
     def to_json(self) -> str:
         return json.dumps({"epochs": self.epochs, "loss": self.loss, "me": self.me,
-                           "sym": self.sym}, indent=1)
+                           "sym": self.sym, "x0": [list(map(float, x)) for x in self.x0],
+                           "params": self.params}, indent=1)
 
 
 def _trainable_indices(net: Network, config: TrainConfig | None = None) -> list[int]:
@@ -142,7 +145,7 @@ def gradients(net: Network, samples, sym_weight: float = 1.0,
     me, count, contexts = _me_terms(net, samples)
     labels = net.tap_labels()
     n = net.state_dim
-    grads = {i: [np.zeros_like(w) for w in net.layers[i].map.weights] for i in trainable}
+    flat_grads = {i: np.zeros_like(net.layers[i].map.flat_coefficients()) for i in trainable}
     jacs = [jacobian(l.map) for l in net.layers]
     x0_grads = []
     param_grads = []
@@ -164,12 +167,11 @@ def gradients(net: Network, samples, sym_weight: float = 1.0,
                         adj[0] += g[0]
                         if n >= 4:
                             adj[2] += g[1]
-                x_in = _layer_input(layer, inputs[t][li], sample.params)
+                # every monomial of the layer input; the Jacobian basis is a prefix
+                mono = layer.map.basis.eval_flat(_layer_input(layer, inputs[t][li], sample.params))
                 if li in trainable:
-                    gw = grads[li]
-                    for d in range(net.order + 1):
-                        gw[d] += np.outer(adj, kron_power(x_in, d, layer.map.n_in))
-                jmat = jacs[li](x_in)  # (n_out, n_in_total)
+                    flat_grads[li] += np.outer(adj, mono)
+                jmat = jacs[li].coeffs @ mono[:jacs[li].basis.size]  # (n_out, n_in_total)
                 full = jmat.T @ adj
                 if fit_params:
                     for k, name in enumerate(layer.params):
@@ -178,6 +180,8 @@ def gradients(net: Network, samples, sym_weight: float = 1.0,
         x0_grads.append(adj if fit_x0 else np.zeros(n))
         param_grads.append(pg)
 
+    grads = {i: np.split(g, net.layers[i].map.basis.offsets[1:], axis=1)
+             for i, g in flat_grads.items()}
     s = 0.0
     for i in trainable:
         tmap = net.layers[i].map
@@ -193,21 +197,19 @@ def gradients(net: Network, samples, sym_weight: float = 1.0,
 
 
 def train(net: Network, samples, config: TrainConfig) -> tuple[Network, TrainReport]:
-    """Adam with global-norm gradient clipping; deterministic."""
+    """Adam with global-norm gradient clipping; deterministic; leaves `samples` as they are."""
     config.validate()
-    net = net.copy()
-    for i, layer in enumerate(net.layers):
-        net.layers[i].map = layer.map.with_weights([np.array(w) for w in layer.map.weights])
-    report = TrainReport(epochs=config.epochs)
+    net = net.copy()  # maps are immutable; training replaces them on the copy's layers
+    samples = list(samples)
+    x0s = [np.array(s.x0, dtype=np.float64) for s in samples]
+    pvals = [dict(s.params) if s.params else {} for s in samples]
+    report = TrainReport(epochs=config.epochs, x0=x0s, params=pvals)  # updated in place
     trainable = _trainable_indices(net, config)
     if config.epochs == 0:
         return net, report
     if not trainable and not config.fit_initial_condition and not config.fit_parameters:
         raise ValueError("no trainable layers selected")
 
-    samples = list(samples)
-    x0s = [np.array(s.x0, dtype=np.float64) for s in samples]
-    pvals = [dict(s.params) if s.params else {} for s in samples]
     moments = {}
 
     def adam_update(key, theta, g, step):
@@ -220,11 +222,9 @@ def train(net: Network, samples, config: TrainConfig) -> tuple[Network, TrainRep
         return theta - config.learning_rate * mhat / (np.sqrt(vhat) + config.epsilon)
 
     for epoch in range(config.epochs):
-        for s, x0, pv in zip(samples, x0s, pvals):
-            s.x0 = x0
-            if pv:
-                s.params = pv
-        grads, x0_grads, param_grads, me, sym = gradients(net, samples, config.sym_weight, config)
+        current = [replace(s, x0=x0, params=pv or s.params)
+                   for s, x0, pv in zip(samples, x0s, pvals)]
+        grads, x0_grads, param_grads, me, sym = gradients(net, current, config.sym_weight, config)
         total = me + config.sym_weight * sym
         if not np.isfinite(total):
             raise TrainingDivergence(epoch)
@@ -256,10 +256,6 @@ def train(net: Network, samples, config: TrainConfig) -> tuple[Network, TrainRep
                     new = adam_update(("param", si, name),
                                       np.float64(pvals[si][name]), scale * g, step)
                     pvals[si][name] = float(new)
-    for s, x0, pv in zip(samples, x0s, pvals):
-        s.x0 = x0
-        if pv:
-            s.params = pv
     return net, report
 
 

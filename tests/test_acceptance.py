@@ -207,8 +207,8 @@ def test_criterion_07_recalibration(report):
     sample = TrainSample(x0=x0.copy(), observed=obs, params={"qf7": k_design})
     cfg = TrainConfig(epochs=400, learning_rate=0.01, sym_weight=1.0,
                       trainable_labels=[], fit_parameters=True)
-    train(net, [sample], cfg)
-    k_fit = sample.params["qf7"]
+    _, fit_report = train(net, [sample], cfg)
+    k_fit = fit_report.params[0]["qf7"]
     ref = ring_tunes(net, amplitude=1e-4, n_turns=1024, params={"qf7": k_true})
     fit = ring_tunes(net, amplitude=1e-4, n_turns=1024, params={"qf7": k_fit})
     tune_err = max(abs(fit[p].q - ref[p].q) for p in ("x", "y"))

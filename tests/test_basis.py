@@ -87,6 +87,64 @@ def test_multiply_exact_when_no_truncation(rng):
     np.testing.assert_array_equal(c, expect)
 
 
+# -- the per-monomial code the growth table replaced, kept as references ----------
+
+def _reference_eval_flat(basis, x):
+    out = np.empty(basis.size)
+    for d in range(basis.max_order + 1):
+        off = basis.offsets[d]
+        out[off:off + basis.block_size(d)] = np.prod(x[None, :] ** basis.blocks[d], axis=1)
+    return out
+
+
+def _reference_multiply(basis, a, b):
+    out = np.zeros(basis.size)
+    nza, nzb = np.nonzero(a)[0], np.nonzero(b)[0]
+    if len(nza) == 0 or len(nzb) == 0:
+        return out
+    idx = basis.product_table[np.ix_(nza, nzb)]
+    vals = np.outer(a[nza], b[nzb])
+    keep = idx >= 0
+    np.add.at(out, idx[keep], vals[keep])
+    return out
+
+
+def test_growth_table_factors_every_monomial():
+    basis = MonomialBasis(4, 3)
+    for j in range(1, basis.size):
+        e = np.array(basis.exponents_of(j))
+        v = basis.var[j]
+        assert e[v] > 0 and not e[v + 1:].any()
+        e[v] -= 1
+        assert basis.parent[j] == basis.index_of(e)
+
+
+@pytest.mark.parametrize("n_vars", [1, 2, 3, 4, 5, 6])
+def test_eval_flat_matches_power_reference(rng, n_vars):
+    for order in range(5):
+        basis = MonomialBasis(n_vars, order)
+        for _ in range(10):
+            x = rng.uniform(-1, 1, n_vars) * 10.0 ** rng.uniform(-4, 1, n_vars)
+            np.testing.assert_allclose(basis.eval_flat(x), _reference_eval_flat(basis, x),
+                                       rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("n_vars, order", [(1, 4), (2, 3), (4, 3), (5, 2), (6, 2)])
+def test_multiply_rows_bit_equal_to_per_row_calls(rng, n_vars, order):
+    basis = MonomialBasis(n_vars, order)
+    a = rng.standard_normal((2, 3, basis.size))
+    b = rng.standard_normal((2, 3, basis.size))
+    a[rng.random(a.shape) < 0.4] = 0.0  # sparse rows, as in composition
+    b[0, 0] = 0.0
+    rows = basis.multiply(a, b)
+    assert rows.shape == a.shape
+    per_row = np.array([basis.multiply(x, y) for x, y in zip(a.reshape(6, -1), b.reshape(6, -1))])
+    assert rows.tobytes() == per_row.tobytes()
+    ref = np.array([_reference_multiply(basis, x, y)
+                    for x, y in zip(a.reshape(6, -1), b.reshape(6, -1))])
+    assert per_row.tobytes() == ref.tobytes()
+
+
 def test_get_basis_caches():
     assert get_basis(4, 2) is get_basis(4, 2)
 

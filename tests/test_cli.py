@@ -107,10 +107,10 @@ def test_portrait_writes_csv(tmp_path):
     assert len(lines) == 1 + 2 * 64
 
 
-def test_train_zero_epochs_is_identity(tmp_path):
+def _train_inputs(tmp_path):
     lat = tmp_path / "ring.lat"
     lat.write_text(LINEAR_RING_TEXT)
-    model, track, out = (tmp_path / n for n in ("m.json", "t.csv", "m2.json"))
+    model, track = tmp_path / "m.json", tmp_path / "t.csv"
     run("build", lat, "-o", model)
     run("track", model, "--x0", "1e-3,0,0,0", "--turns", "3", "-o", track)
     data = tmp_path / "data.csv"
@@ -119,9 +119,25 @@ def test_train_zero_epochs_is_identity(tmp_path):
     data.write_text("\n".join(rows) + "\n")
     x0 = tmp_path / "x0.json"
     x0.write_text(json.dumps({"0": [1e-3, 0, 0, 0]}))
+    return model, data, x0
+
+
+def test_train_zero_epochs_is_identity(tmp_path):
+    model, data, x0 = _train_inputs(tmp_path)
+    out = tmp_path / "m2.json"
     assert run("train", model, "--data", data, "--x0-json", x0,
                "--epochs", "0", "--trainable", "bpm", "-o", out) == 0
     assert out.read_bytes() == model.read_bytes()
+
+
+def test_train_report_carries_fitted_x0(tmp_path):
+    model, data, x0 = _train_inputs(tmp_path)
+    x0.write_text(json.dumps({"0": [1.1e-3, 0, 0, 0]}))  # off the tracked state
+    out, report = tmp_path / "m2.json", tmp_path / "report.json"
+    assert run("train", model, "--data", data, "--x0-json", x0, "--epochs", "5",
+               "--trainable", "bpm", "--fit-x0", "-o", out, "--report", report) == 0
+    fitted = json.loads(report.read_text())["x0"]
+    assert len(fitted) == 1 and fitted[0] != [1.1e-3, 0, 0, 0]
 
 
 def test_correct_pipeline_reduces_orbit(tmp_path):

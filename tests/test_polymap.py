@@ -1,5 +1,7 @@
 """Taylor map algebra: evaluation, composition, Jacobians, batching."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,25 @@ def test_linearity_in_weights(rng):
             mono = kron_power(x, d, 2)[j]
             assert abs((bumped - base)[0] - eps * mono) < 1e-15
             assert (bumped - base)[1] == 0.0
+
+
+def _reference_evaluate(tmap, x0):
+    """Per-degree evaluation with monomials from powers, as before the growth table."""
+    y = tmap.weights[0][:, 0].copy()
+    for d in range(1, tmap.order + 1):
+        exps = get_basis(tmap.n_in, d).blocks[d]
+        y += tmap.weights[d] @ np.prod(x0[None, :] ** exps, axis=1)
+    return y
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("n_in, n_out", [(1, 1), (2, 2), (4, 4), (5, 4), (6, 6)])
+def test_evaluate_matches_reference(rng, n_in, n_out, order):
+    m = random_map(rng, n_in, n_out, order=order)
+    for _ in range(10):
+        x = rng.uniform(-1e-2, 1e-2, n_in)
+        ref = _reference_evaluate(m, x)
+        assert np.max(np.abs(evaluate(m, x) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 # -- batch evaluation -------------------------------------------------------------
@@ -207,6 +228,42 @@ def test_compose_chain_matches_pairwise(rng):
         paired = compose(paired, m)
     for a, b in zip(chained.weights, paired.weights):
         np.testing.assert_allclose(a, b, atol=1e-13)
+
+
+def _reference_compose(first, second):
+    """One truncated product per monomial combination, as before the growth table."""
+    k = first.order
+    basis = get_basis(first.n_in, k)
+    coords = first.flat_coefficients()
+    polys = {(): np.eye(1, basis.size)[0]}
+    result = np.zeros((second.n_out, basis.size))
+    result[:, 0] = second.weights[0][:, 0]
+    for d in range(1, k + 1):
+        wd = second.weights[d]
+        for j, combo in enumerate(itertools.combinations_with_replacement(range(first.n_out), d)):
+            p = basis.multiply(coords[combo[0]], polys[combo[1:]])
+            polys[combo] = p
+            result += np.outer(wd[:, j], p)
+    return result
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_compose_matches_reference_loop(rng, order):
+    pairs = [(random_map(rng, n, n, order=order), random_map(rng, n, n, order=order))
+             for n in (1, 2, 4, 6)]
+    # n_in != n_mid: a 5-input map into a 4-input one, and a parameter
+    # embedding (4 -> 5) into a parametric quadrupole (5 -> 4)
+    pairs.append((random_map(rng, 5, 4, order=order), random_map(rng, 4, 4, order=order)))
+    if order >= 2:
+        embed = TaylorMap.zero_weights(4, 5, order)
+        embed[0][4, 0] = 0.8
+        embed[1][:4] = np.eye(4)
+        pairs.append((TaylorMap(4, 5, order, tuple(embed)),
+                      parametric_quad_map(0.5, order=order, phase_dim=4)))
+    for first, second in pairs:
+        ref = _reference_compose(first, second)
+        got = compose(first, second).flat_coefficients()
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_compose_dimension_mismatch(rng):

@@ -1,5 +1,7 @@
 """Training loop: loss definition, exact gradients, Adam convergence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -206,9 +208,30 @@ def test_parametric_strength_recovered_within_one_percent():
         s.params = {"q": 0.8}  # start from the design value
     cfg = TrainConfig(epochs=400, learning_rate=5e-3, sym_weight=0.0,
                       trainable_labels=[], fit_parameters=True)
-    train(net, samples, cfg)
-    for s in samples:
-        assert abs(s.params["q"] - k_true) / k_true <= 0.01
+    _, rep = train(net, samples, cfg)
+    assert len(rep.params) == len(samples)
+    for p in rep.params:
+        assert abs(p["q"] - k_true) / k_true <= 0.01
+
+
+def test_train_leaves_callers_samples_untouched():
+    text = ("q: quadrupole, l=0.5, k1=0.8, parametric=true;\n"
+            "d: drift, l=1.0;\nm1: monitor;\n"
+            "s: sequence = (q, d, m1, d, q);")
+    net = build(text, merge="minimal")
+    sample = _sample(net, n_turns=1, params={"q": 0.9})
+    sample.params = {"q": 0.8}
+    x0_before = sample.x0.copy()
+    cfg = TrainConfig(epochs=5, learning_rate=1e-3, sym_weight=0.0, trainable_labels=[],
+                      fit_initial_condition=True, fit_parameters=True)
+    _, rep = train(net, [sample], cfg)
+    assert np.array_equal(sample.x0, x0_before)
+    assert sample.params == {"q": 0.8}
+    assert not np.array_equal(rep.x0[0], x0_before)
+    assert rep.params[0]["q"] != 0.8
+    report = json.loads(rep.to_json())
+    assert report["x0"] == [list(map(float, rep.x0[0]))]
+    assert report["params"] == [{"q": rep.params[0]["q"]}]
 
 
 def test_training_is_deterministic():
