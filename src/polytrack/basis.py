@@ -5,6 +5,12 @@ tuples are ordered lexicographically descending on the first variable, then
 the second, and so on, e.g. for two variables at degree 2:
 (2,0), (1,1), (0,2).
 
+All degree blocks together form the flat basis: flat index j runs over the
+blocks in ascending degree, so a polynomial map's weights are one
+(n_out, size) coefficient matrix whose columns follow `exponents`, the
+read-only (size, n_vars) exponent table.  `offsets[d]` is the first flat
+index of degree d.
+
 Each monomial of degree >= 1 grows from one of the degree below: it is
 monomial `parent[j]` times variable `var[j]`, its last non-zero variable.
 That growth table builds every degree-d block from the degree-(d-1) one by
@@ -60,20 +66,18 @@ class MonomialBasis:
             raise ValueError("need n_vars >= 1 and max_order >= 0")
         self.n_vars = n_vars
         self.max_order = max_order
-        self.blocks: list[np.ndarray] = []
         self.offsets: list[int] = []
         flat = []
-        off = 0
         for d in range(max_order + 1):
-            exps = enumerate_monomials(n_vars, d)
-            arr = np.array(exps, dtype=np.int64).reshape(len(exps), n_vars)
-            arr.setflags(write=False)
-            self.blocks.append(arr)
-            self.offsets.append(off)
-            flat.extend(exps)
-            off += len(exps)
-        self.size = off
+            self.offsets.append(len(flat))
+            flat.extend(enumerate_monomials(n_vars, d))
+        self.size = len(flat)
         self._exponents = flat
+        # exponents[j] = exponent tuple of monomial j; blocks[d] = its degree-d rows
+        self.exponents = np.array(flat, dtype=np.int64)
+        self.exponents.setflags(write=False)
+        ends = self.offsets[1:] + [self.size]
+        self.blocks = [self.exponents[a:b] for a, b in zip(self.offsets, ends)]
         self._index = {e: j for j, e in enumerate(flat)}
         # growth table: monomial j = monomial parent[j] * x[var[j]] (entry 0 unused)
         var = [0] + [max(v for v, p in enumerate(e) if p) for e in flat[1:]]

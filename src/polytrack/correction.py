@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .network import Layer, Network, TrackRecord, forward
+from .network import Network, TrackRecord, forward
+from .polymap import TaylorMap
 from .training import TrainConfig, TrainSample, train
 
 
@@ -75,21 +76,18 @@ def corrector_labels(net: Network) -> list[str]:
     return [l.label for l in net.layers if l.kind in ("hcorrector", "vcorrector")]
 
 
-def _kick_index(layer: Layer) -> int:
-    return 1 if layer.kind == "hcorrector" or layer.map.n_out == 2 else 3
-
-
 def get_kicks(net: Network) -> dict:
-    return {l.label: float(l.map.weights[0][_kick_index(l), 0])
+    return {l.label: float(l.map.flat_coefficients()[l.kick_row, 0])
             for l in net.layers if l.kind in ("hcorrector", "vcorrector")}
 
 
 def set_kicks(net: Network, kicks: dict) -> None:
     for layer in net.layers:
         if layer.label in kicks and layer.kind in ("hcorrector", "vcorrector"):
-            w = [np.array(b) for b in layer.map.weights]
-            w[0][_kick_index(layer), 0] = kicks[layer.label]
-            layer.map = layer.map.with_weights(w)
+            m = layer.map
+            w = np.array(m.flat_coefficients())
+            w[layer.kick_row, 0] = kicks[layer.label]
+            layer.map = TaylorMap.from_flat(w, m.n_in, m.order)
 
 
 @dataclass
@@ -120,12 +118,10 @@ def response_matrix(net: Network, x0, corrector_names, mask_flat, delta=1e-6) ->
     cols = []
     base_kicks = get_kicks(net)
     for name in corrector_names:
-        for sign, store in ((+1, "hi"), (-1, "lo")):
-            set_kicks(net, {name: base_kicks[name] + sign * delta})
-            if sign > 0:
-                hi = _model_taps(net, x0).ravel()[mask_flat]
-            else:
-                lo = _model_taps(net, x0).ravel()[mask_flat]
+        set_kicks(net, {name: base_kicks[name] + delta})
+        hi = _model_taps(net, x0).ravel()[mask_flat]
+        set_kicks(net, {name: base_kicks[name] - delta})
+        lo = _model_taps(net, x0).ravel()[mask_flat]
         set_kicks(net, {name: base_kicks[name]})
         cols.append((hi - lo) / (2 * delta))
     return np.stack(cols, axis=1)

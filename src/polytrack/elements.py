@@ -68,12 +68,10 @@ def _plane_indices(n: int) -> list[tuple[int, int]]:
 
 
 def _embed_blocks(n: int, order: int, blocks: list[np.ndarray]) -> TaylorMap:
-    w = TaylorMap.zero_weights(n, n, order)
     w1 = np.eye(n)
     for (i, j), b in zip(_plane_indices(n), blocks):
         w1[i:j + 1, i:j + 1] = b
-    w[1] = w1
-    return TaylorMap(n, n, order, tuple(w))
+    return TaylorMap.from_linear(w1, order=order)
 
 
 def drift_map(length: float, n: int = 4, order: int = 2) -> TaylorMap:
@@ -124,12 +122,11 @@ def corrector_map(kick_x: float = 0.0, kick_y: float = 0.0, n: int = 4,
     """Zero-length dipole kick: x' += kick_x, y' += kick_y."""
     if not (math.isfinite(kick_x) and math.isfinite(kick_y)):
         raise ElementError("corrector kicks must be finite")
-    m = TaylorMap.identity(n, order)
-    w = [np.array(b) for b in m.weights]
-    w[0][1, 0] = kick_x
+    kick = np.zeros(n)
+    kick[1] = kick_x
     if n == 4:
-        w[0][3, 0] = kick_y
-    return m.with_weights(w)
+        kick[3] = kick_y
+    return shift_map(kick, n, order)
 
 
 def sextupole_kick(k2l: float, n: int = 4, order: int = 2) -> TaylorMap:
@@ -139,17 +136,12 @@ def sextupole_kick(k2l: float, n: int = 4, order: int = 2) -> TaylorMap:
     m = TaylorMap.identity(n, order)
     if k2l == 0 or order < 2:
         return m  # the kick is purely quadratic; below order 2 it vanishes
-    w = [np.array(b) for b in m.weights]
-    basis = get_basis(n, order)
-    b2 = basis.blocks[2]
-
-    def col(exponents):
-        return int(np.flatnonzero((b2 == np.array(exponents)).all(axis=1))[0])
-
-    w[2][1, col((2, 0, 0, 0))] = -0.5 * k2l
-    w[2][1, col((0, 0, 2, 0))] = +0.5 * k2l
-    w[2][3, col((1, 0, 1, 0))] = k2l
-    return m.with_weights(w)
+    w = np.array(m.flat_coefficients())
+    col = m.basis.index_of
+    w[1, col((2, 0, 0, 0))] = -0.5 * k2l
+    w[1, col((0, 0, 2, 0))] = +0.5 * k2l
+    w[3, col((1, 0, 1, 0))] = k2l
+    return TaylorMap.from_flat(w, n, order)
 
 
 def sextupole_map(length: float, k2: float, n: int = 4, order: int = 2,
@@ -184,39 +176,32 @@ def parametric_quad_map(length: float, order: int = 2, phase_dim: int = 2,
         raise ElementError("quadrupole length must be >= 0")
     L = length
     n_in = phase_dim + 1
-    w = TaylorMap.zero_weights(n_in, phase_dim, order)
-    w[1] = np.hstack([drift_map(L, phase_dim, 1).weights[1], np.zeros((phase_dim, 1))])
     basis = get_basis(n_in, order)
-    b2 = basis.blocks[2]
-
-    def col(exponents):
-        return int(np.flatnonzero((b2 == np.array(exponents)).all(axis=1))[0])
+    w = np.zeros((phase_dim, basis.size))
+    w[:, 1:phase_dim + 1] = drift_map(L, phase_dim, 1).linear_block()
 
     def times_k(var):
         e = [0] * n_in
         e[var] = 1
         e[-1] += 1
-        return col(tuple(e))
+        return basis.index_of(e)
 
     xpk_coeff = 0.0 if paper_compat else L ** 3 / 6.0
-    w[2][0, times_k(0)] = -0.5 * L ** 2
-    w[2][0, times_k(1)] = -xpk_coeff
-    w[2][1, times_k(0)] = -L
-    w[2][1, times_k(1)] = -0.5 * L ** 2
+    w[0, times_k(0)] = -0.5 * L ** 2
+    w[0, times_k(1)] = -xpk_coeff
+    w[1, times_k(0)] = -L
+    w[1, times_k(1)] = -0.5 * L ** 2
     if phase_dim == 4:
-        w[2][2, times_k(2)] = +0.5 * L ** 2
-        w[2][2, times_k(3)] = +xpk_coeff
-        w[2][3, times_k(2)] = +L
-        w[2][3, times_k(3)] = +0.5 * L ** 2
-    return TaylorMap(n_in, phase_dim, order, tuple(w))
+        w[2, times_k(2)] = +0.5 * L ** 2
+        w[2, times_k(3)] = +xpk_coeff
+        w[3, times_k(2)] = +L
+        w[3, times_k(3)] = +0.5 * L ** 2
+    return TaylorMap.from_flat(w, n_in, order)
 
 
 def shift_map(delta, n: int, order: int) -> TaylorMap:
     """Identity plus a constant offset."""
-    m = TaylorMap.identity(n, order)
-    w = [np.array(b) for b in m.weights]
-    w[0][:, 0] = np.asarray(delta, dtype=np.float64)
-    return m.with_weights(w)
+    return TaylorMap.from_linear(np.eye(n), delta, order)
 
 
 def apply_misalignment(tmap: TaylorMap, dx: float, dy: float = 0.0) -> TaylorMap:
@@ -252,8 +237,7 @@ class OdeRhs:
 
     def as_map(self, order: int) -> TaylorMap:
         w = TaylorMap.zero_weights(self.n, self.n, order)
-        for d, p in enumerate(self.coeffs):
-            w[d] = p
+        w[:self.degree + 1] = self.coeffs
         return TaylorMap(self.n, self.n, order, tuple(w))
 
 
@@ -268,31 +252,25 @@ def ode_to_map(rhs: OdeRhs, length: float, order: int, rk4_steps: int) -> Taylor
         raise ElementError("rk4_steps must be >= 1")
     if rhs.degree > order:
         raise ElementError("RHS degree exceeds map order")
-    f_map = rhs.as_map(order)
-    current = TaylorMap.identity(rhs.n, order)
+    n, f_map = rhs.n, rhs.as_map(order)
 
-    def deriv(m: TaylorMap):
-        c = compose(m, f_map)
-        return c.weights
+    def deriv(w: np.ndarray) -> np.ndarray:  # flat weights of M -> those of F∘M
+        return compose(TaylorMap.from_flat(w, n, order), f_map).flat_coefficients()
 
-    def axpy(m: TaylorMap, scale: float, dw) -> TaylorMap:
-        return m.with_weights([w + scale * d for w, d in zip(m.weights, dw)])
-
+    w = TaylorMap.identity(n, order).flat_coefficients()
     h = length / rk4_steps
     for step in range(rk4_steps):
         try:
-            k1 = deriv(current)
-            k2 = deriv(axpy(current, h / 2, k1))
-            k3 = deriv(axpy(current, h / 2, k2))
-            k4 = deriv(axpy(current, h, k3))
+            k1 = deriv(w)
+            k2 = deriv(w + h / 2 * k1)
+            k3 = deriv(w + h / 2 * k2)
+            k4 = deriv(w + h * k3)
         except ValueError:  # an intermediate stage went non-finite
             raise DivergenceError(f"weight integration diverged at step {step + 1}")
-        new_w = [w + (h / 6) * (a + 2 * b + 2 * c + d)
-                 for w, a, b, c, d in zip(current.weights, k1, k2, k3, k4)]
-        if not all(np.all(np.isfinite(w)) for w in new_w):
+        w = w + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(w)):
             raise DivergenceError(f"weight integration diverged at step {step + 1}")
-        current = current.with_weights(new_w)
-    return current
+    return TaylorMap.from_flat(w, n, order)
 
 
 def element_map(spec: ElementSpec, n: int = 4, order: int = 2,

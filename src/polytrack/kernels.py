@@ -9,7 +9,6 @@ variable POLYTRACK_DISABLE_NUMBA=1 before import to force the numpy path;
 from __future__ import annotations
 
 import os
-import weakref
 
 import numpy as np
 
@@ -27,20 +26,20 @@ else:
 if USING_NUMBA:
 
     @njit(parallel=True, fastmath=False)
-    def _batch_kernel(x, exps, w0, w_all, out):
+    def _batch_kernel(x, exps, w, out):
         n, n_vars = x.shape
         n_mono = exps.shape[0]
-        n_out = w0.shape[0]
+        n_out = w.shape[0]
         for i in prange(n):
             for r in range(n_out):
-                out[i, r] = w0[r]
+                out[i, r] = 0.0
             for m in range(n_mono):
                 p = 1.0
                 for v in range(n_vars):
                     for _ in range(exps[m, v]):
                         p *= x[i, v]
                 for r in range(n_out):
-                    out[i, r] += w_all[r, m] * p
+                    out[i, r] += w[r, m] * p
 
     def set_num_threads(n: int) -> None:
         _set_num_threads(max(1, n))
@@ -51,40 +50,25 @@ else:
         pass
 
 
-def _batch_numpy(x, exps, w0, w_all, out):
+def _batch_numpy(x, exps, w, out):
     mono = np.ones((x.shape[0], exps.shape[0]))
     for v in range(x.shape[1]):
         e = exps[:, v]
         nz = e > 0
         if nz.any():
             mono[:, nz] *= x[:, v:v + 1] ** e[nz]
-    np.matmul(mono, w_all.T, out=out)
-    out += w0
-
-
-_packed = weakref.WeakKeyDictionary()
-
-
-def _pack(tmap):
-    packed = _packed.get(tmap)
-    if packed is None:
-        exps = np.concatenate([tmap.basis.blocks[d] for d in range(1, tmap.order + 1)], axis=0) \
-            if tmap.order >= 1 else np.zeros((0, tmap.n_in), dtype=np.int64)
-        w_all = np.concatenate(tmap.weights[1:], axis=1) if tmap.order >= 1 \
-            else np.zeros((tmap.n_out, 0))
-        packed = (np.ascontiguousarray(exps), tmap.weights[0][:, 0].copy(),
-                  np.ascontiguousarray(w_all))
-        _packed[tmap] = packed
-    return packed
+    np.matmul(mono, w.T, out=out)
 
 
 def batch_apply(tmap, x: np.ndarray) -> np.ndarray:
-    """Apply a TaylorMap to every row of x; returns (N, n_out)."""
-    exps, w0, w_all = _pack(tmap)
+    """Apply a TaylorMap to every row of x; returns (N, n_out).
+
+    Monomial m of a row is the product of its coordinates raised to the m-th
+    row of the basis exponent table; the output is the flat coefficient
+    matrix applied to those monomials.
+    """
     out = np.empty((x.shape[0], tmap.n_out))
     x = np.ascontiguousarray(x)
-    if USING_NUMBA:
-        _batch_kernel(x, exps, w0, w_all, out)
-    else:
-        _batch_numpy(x, exps, w0, w_all, out)
+    kernel = _batch_kernel if USING_NUMBA else _batch_numpy
+    kernel(x, tmap.basis.exponents, tmap.flat_coefficients(), out)
     return out

@@ -34,14 +34,19 @@ class Layer:
     kind: str = "map"  # map | hcorrector | vcorrector | parametric
     params: tuple = ()  # names of extra trailing inputs
 
-    def trainable_mask(self) -> list[np.ndarray]:
-        """Which weight entries training may touch (correctors: kick rows of W0)."""
-        masks = [np.ones_like(w, dtype=bool) for w in self.map.weights]
-        if self.kind in ("hcorrector", "vcorrector"):
-            masks = [np.zeros_like(w, dtype=bool) for w in self.map.weights]
-            row = 1 if self.kind == "hcorrector" or self.map.n_out == 2 else 3
-            masks[0][row, 0] = True
-        return masks
+    @property
+    def kick_row(self) -> int:
+        """Output row whose constant term a corrector kicks: x', or y' for a 4-D vcorrector."""
+        return 1 if self.kind == "hcorrector" or self.map.n_out == 2 else 3
+
+    def trainable_mask(self) -> np.ndarray:
+        """Which flat weight entries training may touch (correctors: the kick only)."""
+        shape = self.map.flat_coefficients().shape
+        if self.kind not in ("hcorrector", "vcorrector"):
+            return np.ones(shape, dtype=bool)
+        mask = np.zeros(shape, dtype=bool)
+        mask[self.kick_row, 0] = True
+        return mask
 
 
 @dataclass(eq=False)
@@ -96,18 +101,18 @@ def _position(x: np.ndarray) -> tuple[float, float]:
     return (float(x[0]), float(x[2]) if x.shape[0] >= 4 else 0.0)
 
 
-def forward(net: Network, x0, params=None, full_taps: bool = False):
+def forward(net: Network, x0, params=None):
     """Propagate one state through all layers.
 
     Returns (final state, taps) where taps maps each tap label to its (x, y)
-    reading, or to the full state vector when `full_taps` is set.
+    reading.
     """
     x = np.asarray(x0, dtype=np.float64)
     taps = {}
     for layer in net.layers:
         x = evaluate(layer.map, _layer_input(layer, x, params))
         if layer.tap:
-            taps[layer.label] = x.copy() if full_taps else _position(x)
+            taps[layer.label] = _position(x)
     return x, taps
 
 
@@ -134,10 +139,9 @@ def _param_embedding(state_dim: int, order: int, values) -> TaylorMap:
     """Affine map appending fixed parameter values as extra coordinates."""
     values = np.asarray(values, dtype=np.float64)
     n_out = state_dim + values.size
-    w = TaylorMap.zero_weights(state_dim, n_out, order)
-    w[0][state_dim:, 0] = values
-    w[1][:state_dim, :] = np.eye(state_dim)
-    return TaylorMap(state_dim, n_out, order, tuple(w))
+    offset = np.zeros(n_out)
+    offset[state_dim:] = values
+    return TaylorMap.from_linear(np.eye(n_out, state_dim), offset, order)
 
 
 def one_turn_map(net: Network, params=None) -> TaylorMap:
@@ -205,8 +209,10 @@ def save_model(net: Network) -> bytes:
 def load_model(data: bytes) -> Network:
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON
         raise ModelFormatError(f"not a valid model file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ModelFormatError("not a valid model file: expected a JSON object")
     for key in ("version", "order", "state_dim", "basis", "layers"):
         if key not in doc:
             raise ModelFormatError(f"model file missing key '{key}'")
@@ -214,6 +220,8 @@ def load_model(data: bytes) -> Network:
         raise ModelFormatError(f"unsupported model version {doc['version']}")
     if doc["basis"] != ORDERING_TAG:
         raise ModelFormatError(f"unsupported basis convention '{doc['basis']}'")
+    if not isinstance(doc["layers"], list):
+        raise ModelFormatError("'layers' must be a list")
     order, state_dim = doc["order"], doc["state_dim"]
     layers = []
     for i, ld in enumerate(doc["layers"]):
@@ -226,9 +234,12 @@ def load_model(data: bytes) -> Network:
                                 tap=ld["tap"], trainable=ld["trainable"],
                                 label=ld["label"], kind=ld.get("kind", "map"),
                                 params=params))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"layer {i}: {exc}") from exc
-    return Network(layers, state_dim=state_dim, order=order)
+    try:
+        return Network(layers, state_dim=state_dim, order=order)
+    except (TypeError, ValueError) as exc:  # no layers, duplicate or unhashable tap labels
+        raise ModelFormatError(str(exc)) from exc
 
 
 # -- turn-by-turn records --------------------------------------------------------
@@ -277,16 +288,28 @@ class TrackRecord:
 
     @classmethod
     def from_csv(cls, text: str) -> "TrackRecord":
-        rows = list(csv.DictReader(io.StringIO(text)))
+        return cls._from_rows(list(csv.DictReader(io.StringIO(text))))
+
+    @classmethod
+    def _from_rows(cls, rows) -> "TrackRecord":
+        """Record from `to_csv` rows (dicts); raises ValueError or KeyError on bad rows."""
         labels = []
+        parsed = []
         for r in rows:
+            try:
+                t, x, y, valid = int(r["turn"]), float(r["x"]), float(r["y"]), bool(int(r["valid"]))
+            except TypeError:  # a short row: csv fills missing fields with None
+                raise ValueError(f"row {r} has missing fields") from None
+            if t < 0:
+                raise ValueError(f"negative turn {t}")
+            if valid and not (np.isfinite(x) and np.isfinite(y)):
+                raise ValueError(f"non-finite reading at turn {t}, tap '{r['tap']}' marked valid")
             if r["tap"] not in labels:
                 labels.append(r["tap"])
-        n_turns = 1 + max((int(r["turn"]) for r in rows), default=-1)
-        rec = cls.empty(labels, n_turns)
+            parsed.append((t, labels.index(r["tap"]), x, y, valid))
+        rec = cls.empty(labels, 1 + max((p[0] for p in parsed), default=-1))
         rec.valid[:] = False
-        for r in rows:
-            t, j = int(r["turn"]), labels.index(r["tap"])
-            rec.readings[t, j] = (float(r["x"]), float(r["y"]))
-            rec.valid[t, j] = bool(int(r["valid"]))
+        for t, j, x, y, valid in parsed:
+            rec.readings[t, j] = (x, y)
+            rec.valid[t, j] = valid
         return rec

@@ -2,17 +2,22 @@
 
 A map of order k sends X to W0 + W1 X + W2 X^[2] + ... + Wk X^[k], where
 X^[d] lists the degree-d monomials of X in the basis order of
-:mod:`polytrack.basis`.  Weight block d has one column per degree-d monomial;
-the blocks are views of one read-only (n_out, basis.size) flat matrix.
-The basis growth table (monomial j = monomial parent[j] * x[var[j]]) drives
-evaluation, `flat @ basis.eval_flat(x)`, and composition, which grows each
-monomial of the middle variables as a polynomial in the inputs with one
-row-wise `basis.multiply` per degree and applies the outer flat matrix.
+:mod:`polytrack.basis`.  A map holds its weights as one read-only
+(n_out, basis.size) flat coefficient matrix, one column per basis monomial;
+every module of the library reads and builds maps in that layout.  Weight
+blocks W_d exist only at the public edge: the block constructor
+`TaylorMap(n_in, n_out, order, weights)`, `with_weights` and the read-only
+`.weights` views.  The basis growth table (monomial j = monomial parent[j] *
+x[var[j]]) drives evaluation, `flat @ basis.eval_flat(x)`, and composition,
+which grows each monomial of the middle variables as a polynomial in the
+inputs with one row-wise `basis.multiply` per degree and applies the outer
+flat matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,35 +36,53 @@ def kron_power(x, degree: int, n_vars: int | None = None) -> np.ndarray:
     return basis.eval_flat(x)[basis.offsets[degree]:]
 
 
-@dataclass(frozen=True, eq=False)
 class TaylorMap:
     """Immutable truncated polynomial map R^n_in -> R^n_out of given order."""
 
-    n_in: int
-    n_out: int
-    order: int
-    weights: tuple  # (W0, W1, ..., Wk); W_d has shape (n_out, C(n_in+d-1, d))
-
-    def __post_init__(self):
-        if len(self.weights) != self.order + 1:
-            raise ShapeError(f"expected {self.order + 1} weight blocks, got {len(self.weights)}")
-        ws = []
-        for d, w in enumerate(self.weights):
-            w = np.asarray(w, dtype=np.float64)
-            want = (self.n_out, n_monomials(self.n_in, d))
+    def __init__(self, n_in: int, n_out: int, order: int, weights):
+        """Build from weight blocks (W0, ..., Wk); W_d has shape (n_out, C(n_in+d-1, d))."""
+        if len(weights) != order + 1:
+            raise ShapeError(f"expected {order + 1} weight blocks, got {len(weights)}")
+        blocks = [np.asarray(w, dtype=np.float64) for w in weights]
+        for d, w in enumerate(blocks):
+            want = (n_out, n_monomials(n_in, d))
             if w.shape != want:
                 raise ShapeError(f"weight block {d} has shape {w.shape}, expected {want}")
-            if not np.all(np.isfinite(w)):
-                raise ValueError(f"non-finite entries in weight block {d}")
-            ws.append(w)
-        flat = np.concatenate(ws, axis=1)  # a copy: callers' arrays stay theirs
+        self._adopt(np.concatenate(blocks, axis=1), n_in, order)
+
+    @classmethod
+    def from_flat(cls, coeffs, n_in: int, order: int) -> "TaylorMap":
+        """Map over an (n_out, basis.size) coefficient matrix; the caller keeps `coeffs`."""
+        tmap = cls.__new__(cls)
+        tmap._adopt(coeffs, n_in, order)
+        return tmap
+
+    def _adopt(self, coeffs, n_in: int, order: int) -> None:
+        flat = np.array(coeffs, dtype=np.float64)  # one copy: never the caller's array
+        size = get_basis(n_in, order).size
+        if flat.ndim != 2 or flat.shape[1] != size:
+            raise ShapeError(f"coefficients have shape {flat.shape}, expected (n_out, {size})")
+        if not np.all(np.isfinite(flat)):
+            raise ValueError("non-finite entries in weights")
         flat.setflags(write=False)
-        object.__setattr__(self, "_flat", flat)
-        object.__setattr__(self, "weights", tuple(np.split(flat, self.basis.offsets[1:], axis=1)))
+        for name, value in (("n_in", n_in), ("n_out", flat.shape[0]), ("order", order),
+                            ("_flat", flat)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TaylorMap is immutable; cannot set '{name}'")
+
+    def __repr__(self):
+        return f"TaylorMap(n_in={self.n_in}, n_out={self.n_out}, order={self.order})"
 
     @property
     def basis(self) -> MonomialBasis:
         return get_basis(self.n_in, self.order)
+
+    @cached_property
+    def weights(self) -> tuple:
+        """Read-only blocks (W0, ..., Wk): views of the flat matrix, one per degree."""
+        return tuple(np.split(self._flat, self.basis.offsets[1:], axis=1))
 
     # -- construction helpers -------------------------------------------------
 
@@ -69,33 +92,25 @@ class TaylorMap:
 
     @classmethod
     def identity(cls, n: int, order: int) -> "TaylorMap":
-        w = cls.zero_weights(n, n, order)
-        w[1] = np.eye(n)
-        return cls(n, n, order, tuple(w))
+        return cls.from_linear(np.eye(n), order=order)
 
     @classmethod
     def from_linear(cls, matrix, offset=None, order: int = 1) -> "TaylorMap":
+        """W1 = matrix, W0 = offset (zero if omitted); every higher weight zero."""
         matrix = np.asarray(matrix, dtype=np.float64)
         n_out, n_in = matrix.shape
-        w = cls.zero_weights(n_in, n_out, order)
-        w[1] = matrix
+        flat = np.zeros((n_out, get_basis(n_in, order).size))
+        flat[:, 1:n_in + 1] = matrix
         if offset is not None:
-            w[0] = np.asarray(offset, dtype=np.float64).reshape(n_out, 1)
-        return cls(n_in, n_out, order, tuple(w))
+            flat[:, 0] = offset
+        return cls.from_flat(flat, n_in, order)
 
     def with_weights(self, weights) -> "TaylorMap":
         return TaylorMap(self.n_in, self.n_out, self.order, tuple(weights))
 
-    # -- flat-coefficient view -------------------------------------------------
-
     def flat_coefficients(self) -> np.ndarray:
         """Read-only (n_out, basis.size) coefficient matrix over the flat basis."""
         return self._flat
-
-    @classmethod
-    def from_flat(cls, coeffs: np.ndarray, n_in: int, order: int) -> "TaylorMap":
-        blocks = np.split(coeffs, get_basis(n_in, order).offsets[1:], axis=1)
-        return cls(n_in, coeffs.shape[0], order, tuple(blocks))
 
     # -- evaluation ------------------------------------------------------------
 
@@ -103,7 +118,7 @@ class TaylorMap:
         return evaluate(self, x0)
 
     def linear_block(self) -> np.ndarray:
-        return np.array(self.weights[1])
+        return np.array(self._flat[:, 1:self.n_in + 1])
 
 
 def evaluate(tmap: TaylorMap, x0) -> np.ndarray:

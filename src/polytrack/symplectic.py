@@ -8,7 +8,8 @@ when the map is symplectic as a polynomial identity up to its own degree.
 The expansion sums every product of a coefficient of D with one of J D onto
 the monomial the basis product table gives for that pair.  The penalty
 gradient reuses that expansion and reaches the weights through the basis
-derivative table, the same table `polymap.jacobian` gathers with.
+derivative table, the same table `polymap.jacobian` gathers with; it is one
+matrix shaped like the map's flat coefficients.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ def _residual(tmap: TaylorMap, phase_dim: int | None) -> tuple[PolyMatrix, np.nd
     return PolyMatrix(pd, pd, target, res), jd
 
 
-def _weight_gradient(tmap: TaylorMap, residual: PolyMatrix, jd: np.ndarray) -> list[np.ndarray]:
-    """d(penalty)/d(weights) from the residual and J D that `_residual` built."""
+def _weight_gradient(tmap: TaylorMap, residual: PolyMatrix, jd: np.ndarray) -> np.ndarray:
+    """d(penalty)/d(flat weights) from the residual and J D that `_residual` built."""
     nsrc = jd.shape[2]
     r = residual.coeffs[:, :, residual.basis.product_table[:nsrc, :nsrc]]
     # S = sum R[a,b,q]^2.  D enters R as first and as second factor; by the
@@ -84,7 +85,7 @@ def _weight_gradient(tmap: TaylorMap, residual: PolyMatrix, jd: np.ndarray) -> l
     src, var, tgt, mult = table[:, table[1] < residual.n_rows]
     flat = np.zeros((tmap.n_out, tmap.basis.size))
     np.add.at(flat, (slice(None), src), mult * g[:, var, tgt])
-    return np.split(flat, tmap.basis.offsets[1:], axis=1)
+    return flat
 
 
 def symplectic_residual(tmap: TaylorMap, phase_dim: int | None = None) -> PolyMatrix:
@@ -102,6 +103,9 @@ def symplectic_penalty(tmap: TaylorMap, phase_dim: int | None = None) -> float:
     return float(np.sum(symplectic_residual(tmap, phase_dim).coeffs ** 2))
 
 
-def penalty_gradient(tmap: TaylorMap, phase_dim: int | None = None) -> list[np.ndarray]:
-    """d(penalty)/d(weight entry) for every weight block (W0 block is zero)."""
+def penalty_gradient(tmap: TaylorMap, phase_dim: int | None = None) -> np.ndarray:
+    """d(penalty)/d(weight entry), laid out like `tmap.flat_coefficients()`.
+
+    The constant column (W0) is zero: the penalty depends on the Jacobian only.
+    """
     return _weight_gradient(tmap, *_residual(tmap, phase_dim))

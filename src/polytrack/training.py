@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .network import Network, TrackRecord, _layer_input
-from .polymap import evaluate, jacobian
+from .polymap import TaylorMap, evaluate, jacobian
 from .symplectic import _residual, _weight_gradient, symplectic_penalty
 
 
@@ -134,7 +134,8 @@ def gradients(net: Network, samples, sym_weight: float = 1.0,
     """Exact gradients of the loss.
 
     Returns (grads, x0_grads, param_grads, me, sym) where grads maps a
-    trainable layer index to a list of per-block weight gradients, x0_grads is
+    trainable layer index to the gradient of its flat coefficient matrix
+    (same shape as `flat_coefficients()`), x0_grads is
     one vector per sample (populated only when fit_initial_condition is set)
     and param_grads is one {name: d loss / d value} dict per sample (populated
     only when fit_parameters is set).
@@ -145,7 +146,7 @@ def gradients(net: Network, samples, sym_weight: float = 1.0,
     me, count, contexts = _me_terms(net, samples)
     labels = net.tap_labels()
     n = net.state_dim
-    flat_grads = {i: np.zeros_like(net.layers[i].map.flat_coefficients()) for i in trainable}
+    grads = {i: np.zeros_like(net.layers[i].map.flat_coefficients()) for i in trainable}
     jacs = [jacobian(l.map) for l in net.layers]
     x0_grads = []
     param_grads = []
@@ -170,7 +171,7 @@ def gradients(net: Network, samples, sym_weight: float = 1.0,
                 # every monomial of the layer input; the Jacobian basis is a prefix
                 mono = layer.map.basis.eval_flat(_layer_input(layer, inputs[t][li], sample.params))
                 if li in trainable:
-                    flat_grads[li] += np.outer(adj, mono)
+                    grads[li] += np.outer(adj, mono)
                 jmat = jacs[li].coeffs @ mono[:jacs[li].basis.size]  # (n_out, n_in_total)
                 full = jmat.T @ adj
                 if fit_params:
@@ -180,19 +181,14 @@ def gradients(net: Network, samples, sym_weight: float = 1.0,
         x0_grads.append(adj if fit_x0 else np.zeros(n))
         param_grads.append(pg)
 
-    grads = {i: np.split(g, net.layers[i].map.basis.offsets[1:], axis=1)
-             for i, g in flat_grads.items()}
     s = 0.0
     for i in trainable:
         tmap = net.layers[i].map
         residual, jd = _residual(tmap, n)
         s += float(np.sum(residual.coeffs ** 2))
         if sym_weight != 0.0:
-            for gw, gp in zip(grads[i], _weight_gradient(tmap, residual, jd)):
-                gw += sym_weight * gp
-    for i in trainable:
-        for gw, m in zip(grads[i], net.layers[i].trainable_mask()):
-            gw *= m
+            grads[i] += sym_weight * _weight_gradient(tmap, residual, jd)
+        grads[i] *= net.layers[i].trainable_mask()
     return grads, x0_grads, param_grads, me, s
 
 
@@ -232,7 +228,7 @@ def train(net: Network, samples, config: TrainConfig) -> tuple[Network, TrainRep
         report.me.append(me)
         report.sym.append(sym)
 
-        gnorm_sq = sum(float(np.sum(g ** 2)) for gl in grads.values() for g in gl)
+        gnorm_sq = sum(float(np.sum(g ** 2)) for g in grads.values())
         if config.fit_initial_condition:
             gnorm_sq += sum(float(np.sum(g ** 2)) for g in x0_grads)
         if config.fit_parameters:
@@ -242,11 +238,9 @@ def train(net: Network, samples, config: TrainConfig) -> tuple[Network, TrainRep
 
         step = epoch + 1
         for i in trainable:
-            layer = net.layers[i]
-            new_w = []
-            for d, (w, g) in enumerate(zip(layer.map.weights, grads[i])):
-                new_w.append(adam_update((i, d), np.array(w), scale * g, step))
-            layer.map = layer.map.with_weights(new_w)
+            m = net.layers[i].map
+            w = adam_update(i, m.flat_coefficients(), scale * grads[i], step)
+            net.layers[i].map = TaylorMap.from_flat(w, m.n_in, m.order)
         if config.fit_initial_condition:
             for si in range(len(samples)):
                 x0s[si] = adam_update(("x0", si), x0s[si], scale * x0_grads[si], step)
@@ -279,24 +273,16 @@ def samples_to_csv(samples) -> tuple[str, str]:
 
 def samples_from_csv(csv_text: str, x0_json_text: str) -> list:
     x0s = json.loads(x0_json_text)
+    if not isinstance(x0s, dict):
+        raise ValueError("x0 sidecar must be a JSON object of sample -> state")
     rows = list(csv.DictReader(io.StringIO(csv_text)))
     by_sample: dict[str, list] = {}
     for r in rows:
         by_sample.setdefault(r["sample"], []).append(r)
     samples = []
     for sid, srows in by_sample.items():
-        labels = []
-        for r in srows:
-            if r["tap"] not in labels:
-                labels.append(r["tap"])
-        n_turns = 1 + max(int(r["turn"]) for r in srows)
-        rec = TrackRecord.empty(labels, n_turns)
-        rec.valid[:] = False
-        for r in srows:
-            t, j = int(r["turn"]), labels.index(r["tap"])
-            rec.readings[t, j] = (float(r["x"]), float(r["y"]))
-            rec.valid[t, j] = bool(int(r["valid"]))
         if sid not in x0s:
             raise ValueError(f"x0 sidecar is missing sample '{sid}'")
-        samples.append(TrainSample(np.array(x0s[sid], dtype=np.float64), rec))
+        samples.append(TrainSample(np.array(x0s[sid], dtype=np.float64),
+                                   TrackRecord._from_rows(srows)))
     return samples

@@ -126,6 +126,11 @@ def random_map(rng, n_in: int, n_out: int | None = None, order: int = 2,
     return TaylorMap(n_in, n_out, order, tuple(weights))
 
 
+def weight_block(flat, basis, degree: int) -> np.ndarray:
+    """Columns of a flat (n_out, basis.size) matrix that belong to one degree."""
+    return flat[:, basis.offsets[degree]:basis.offsets[degree] + basis.block_size(degree)]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260826)

@@ -28,7 +28,7 @@ from polytrack.training import TrainConfig, TrainSample, gradients, loss, train
 
 from conftest import (FODO12_TEXT, FODO_MONITORED_TEXT, LINEAR_RING_TEXT,
                       achromat_text, build, cell_ring_text, random_map,
-                      resonant_ring_text, transfer_line_text)
+                      resonant_ring_text, transfer_line_text, weight_block)
 
 
 @pytest.fixture
@@ -130,8 +130,8 @@ def test_criterion_04_gradient_check(report):
         direction = {i: [rng.standard_normal(w.shape) for w in net.layers[i].map.weights]
                      for i in grads}
         norm = np.sqrt(sum(float(np.sum(v ** 2)) for vl in direction.values() for v in vl))
-        analytic = sum(float(np.sum(g * v)) / norm
-                       for i in grads for g, v in zip(grads[i], direction[i]))
+        analytic = sum(float(np.sum(weight_block(grads[i], net.layers[i].map.basis, d) * v))
+                       / norm for i in grads for d, v in enumerate(direction[i]))
 
         def shifted(eps):
             trial = net.copy()

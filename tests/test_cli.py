@@ -192,6 +192,48 @@ def test_missing_model_file_is_input_error(tmp_path):
                "--turns", "1", "-o", tmp_path / "t.csv") == cli.EXIT_INPUT
 
 
+def _valid_model_doc(tmp_path):
+    lat = tmp_path / "ring.lat"
+    lat.write_text(LINEAR_RING_TEXT)
+    model = tmp_path / "m.json"
+    assert run("build", lat, "-o", model) == 0
+    return json.loads(model.read_text())
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda doc: 5,
+    lambda doc: {**doc, "layers": []},
+    lambda doc: {**doc, "layers": doc["layers"] + doc["layers"][-1:]},
+], ids=["non-object", "no-layers", "duplicate-taps"])
+def test_malformed_model_is_input_error(tmp_path, mangle):
+    model = tmp_path / "bad.json"
+    model.write_text(json.dumps(mangle(_valid_model_doc(tmp_path))))
+    assert run("track", model, "--x0", "0,0,0,0", "--turns", "1",
+               "-o", tmp_path / "t.csv") == cli.EXIT_INPUT
+
+
+BAD_TRACK_ROWS = {"negative-turn": "-1,{tap},1e-3,0.0,1", "nan-valid": "0,{tap},nan,0.0,1",
+                  "inf-valid": "0,{tap},1e-3,inf,1"}
+
+
+@pytest.mark.parametrize("bad_row", BAD_TRACK_ROWS.values(), ids=BAD_TRACK_ROWS.keys())
+def test_bad_track_rows_are_input_errors(tmp_path, bad_row):
+    model, data, x0 = _train_inputs(tmp_path)
+    track = tmp_path / "t.csv"
+    track.write_text(track.read_text() + bad_row.format(tap="bpm") + "\n")
+    data.write_text(data.read_text() + "0," + bad_row.format(tap="bpm") + "\n")
+    assert run("tune", track, "--tap", "bpm", "-o", tmp_path / "q.json") == cli.EXIT_INPUT
+    assert run("train", model, "--data", data, "--x0-json", x0, "--epochs", "1",
+               "--trainable", "bpm", "-o", tmp_path / "m2.json") == cli.EXIT_INPUT
+    line_lat, line, orbit = tmp_path / "line.lat", tmp_path / "line.json", tmp_path / "o.csv"
+    line_lat.write_text(transfer_line_text(bad_dx=2e-4))
+    assert run("build", line_lat, "-o", line) == 0
+    assert run("track", line, "--x0", "0,0,0,0", "--turns", "1", "--aperture", "1",
+               "-o", orbit) == 0
+    orbit.write_text(orbit.read_text() + bad_row.format(tap="m3") + "\n")
+    assert run("correct", line, "--observed", orbit, "-o", tmp_path / "c.json") == cli.EXIT_INPUT
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run("--version")

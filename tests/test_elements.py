@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from polytrack.basis import get_basis
 from polytrack.elements import (DivergenceError, ElementError, ElementSpec, OdeRhs,
-                                apply_misalignment, corrector_map, drift_map,
-                                element_map, ode_to_map, parametric_quad_map,
-                                quad_map, sbend_map, sextupole_map)
+                                _plane_indices, _quad_blocks, apply_misalignment,
+                                corrector_map, drift_map, element_map, ode_to_map,
+                                parametric_quad_map, quad_map, sbend_map, sextupole_kick,
+                                sextupole_map, shift_map)
 from polytrack.polymap import TaylorMap, compose, evaluate
 from polytrack.symplectic import symplectic_penalty
 
@@ -308,3 +310,137 @@ def test_spec_validation():
         ElementSpec("m", "monitor", length=1.0).validate()
     with pytest.raises(ElementError):
         ElementSpec("x", "wiggler").validate()
+
+
+# -- block-wise references -------------------------------------------------------
+# Element builders as they were written before the flat layout: one weight
+# block per degree, built through the block constructor.
+
+def _ref_embed_blocks(n, order, blocks):
+    w = TaylorMap.zero_weights(n, n, order)
+    w1 = np.eye(n)
+    for (i, j), b in zip(_plane_indices(n), blocks):
+        w1[i:j + 1, i:j + 1] = b
+    w[1] = w1
+    return TaylorMap(n, n, order, tuple(w))
+
+
+def _ref_quad(length, k1, n, order):
+    if k1 == 0 or length == 0:
+        return _ref_embed_blocks(n, order, [np.array([[1.0, length], [0.0, 1.0]])] * (n // 2))
+    f, d = _quad_blocks(length, abs(k1))
+    return _ref_embed_blocks(n, order, ([f, d] if k1 > 0 else [d, f])[:n // 2])
+
+
+def _ref_corrector(kick_x, kick_y, n, order):
+    m = TaylorMap.identity(n, order)
+    w = [np.array(b) for b in m.weights]
+    w[0][1, 0] = kick_x
+    if n == 4:
+        w[0][3, 0] = kick_y
+    return m.with_weights(w)
+
+
+def _ref_sextupole_kick(k2l, n, order):
+    m = TaylorMap.identity(n, order)
+    w = [np.array(b) for b in m.weights]
+    b2 = get_basis(n, order).blocks[2]
+
+    def col(exponents):
+        return int(np.flatnonzero((b2 == np.array(exponents)).all(axis=1))[0])
+
+    w[2][1, col((2, 0, 0, 0))] = -0.5 * k2l
+    w[2][1, col((0, 0, 2, 0))] = +0.5 * k2l
+    w[2][3, col((1, 0, 1, 0))] = k2l
+    return m.with_weights(w)
+
+
+def _ref_parametric_quad(L, order, phase_dim, paper_compat):
+    n_in = phase_dim + 1
+    w = TaylorMap.zero_weights(n_in, phase_dim, order)
+    w[1] = np.hstack([drift_map(L, phase_dim, 1).weights[1], np.zeros((phase_dim, 1))])
+    b2 = get_basis(n_in, order).blocks[2]
+
+    def col(exponents):
+        return int(np.flatnonzero((b2 == np.array(exponents)).all(axis=1))[0])
+
+    def times_k(var):
+        e = [0] * n_in
+        e[var] = 1
+        e[-1] += 1
+        return col(tuple(e))
+
+    xpk_coeff = 0.0 if paper_compat else L ** 3 / 6.0
+    w[2][0, times_k(0)] = -0.5 * L ** 2
+    w[2][0, times_k(1)] = -xpk_coeff
+    w[2][1, times_k(0)] = -L
+    w[2][1, times_k(1)] = -0.5 * L ** 2
+    if phase_dim == 4:
+        w[2][2, times_k(2)] = +0.5 * L ** 2
+        w[2][2, times_k(3)] = +xpk_coeff
+        w[2][3, times_k(2)] = +L
+        w[2][3, times_k(3)] = +0.5 * L ** 2
+    return TaylorMap(n_in, phase_dim, order, tuple(w))
+
+
+def _ref_shift(delta, n, order):
+    m = TaylorMap.identity(n, order)
+    w = [np.array(b) for b in m.weights]
+    w[0][:, 0] = np.asarray(delta, dtype=np.float64)
+    return m.with_weights(w)
+
+
+def _ref_ode_to_map(rhs, length, order, rk4_steps):
+    f_map = rhs.as_map(order)
+    current = TaylorMap.identity(rhs.n, order)
+
+    def deriv(m):
+        return compose(m, f_map).weights
+
+    def axpy(m, scale, dw):
+        return m.with_weights([w + scale * d for w, d in zip(m.weights, dw)])
+
+    h = length / rk4_steps
+    for _ in range(rk4_steps):
+        k1 = deriv(current)
+        k2 = deriv(axpy(current, h / 2, k1))
+        k3 = deriv(axpy(current, h / 2, k2))
+        k4 = deriv(axpy(current, h, k3))
+        current = current.with_weights([w + (h / 6) * (a + 2 * b + 2 * c + d)
+                                        for w, a, b, c, d in zip(current.weights,
+                                                                 k1, k2, k3, k4)])
+    return current
+
+
+def _same_bits(a, b):
+    return (a.n_in, a.n_out, a.order) == (b.n_in, b.n_out, b.order) and \
+        a.flat_coefficients().tobytes() == b.flat_coefficients().tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 4])
+def test_linear_elements_bit_equal_to_block_reference(n, order):
+    for length in (0.0, 0.4, 1.7):
+        assert _same_bits(drift_map(length, n, order), _ref_quad(length, 0.0, n, order))
+        for k1 in (0.9, -1.3):
+            assert _same_bits(quad_map(length, k1, n, order), _ref_quad(length, k1, n, order))
+    f, _ = _quad_blocks(0.8, (0.1 / 0.8) ** 2)
+    ld = np.array([[1.0, 0.8], [0.0, 1.0]])
+    assert _same_bits(sbend_map(0.8, 0.1, n, order), _ref_embed_blocks(n, order, [f, ld][:n // 2]))
+    for kx, ky in ((0.0, 0.0), (2e-4, -3e-4)):
+        assert _same_bits(corrector_map(kx, ky, n, order), _ref_corrector(kx, ky, n, order))
+    delta = np.linspace(-1e-3, 2e-3, n)
+    assert _same_bits(shift_map(delta, n, order), _ref_shift(delta, n, order))
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_nonlinear_elements_bit_equal_to_block_reference(order):
+    for k2l in (0.7, -2.5):
+        assert _same_bits(sextupole_kick(k2l, 4, order), _ref_sextupole_kick(k2l, 4, order))
+    for phase_dim in (2, 4):
+        for compat in (False, True):
+            assert _same_bits(parametric_quad_map(0.6, order, phase_dim, compat),
+                              _ref_parametric_quad(0.6, order, phase_dim, compat))
+    for rhs in (quad_rhs(1.3), OdeRhs(1, 2, [[[0.2]], [[-0.4]], [[0.9]]])):
+        assert _same_bits(ode_to_map(rhs, 0.8, order, rk4_steps=7),
+                          _ref_ode_to_map(rhs, 0.8, order, rk4_steps=7))

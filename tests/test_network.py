@@ -1,5 +1,6 @@
 """Network assembly, forward passes, tap equivalence, serialization."""
 
+import copy
 import json
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 
 from polytrack.lattice import parse_lattice, plan_segments, split_at_monitors
 from polytrack.network import (MODEL_FORMAT_VERSION, ModelFormatError,
-                               ParameterError, build_network, forward,
-                               forward_batch, load_model, one_turn_map,
-                               save_model)
+                               ParameterError, TrackRecord, _param_embedding,
+                               build_network, forward, forward_batch, load_model,
+                               one_turn_map, save_model)
+from polytrack.polymap import TaylorMap
 
 from conftest import FODO12_TEXT, FODO_MONITORED_TEXT, build
 
@@ -102,6 +104,78 @@ def test_load_version_mismatch_raises():
         load_model(json.dumps(doc).encode())
 
 
+MODEL_TEXT = ("q: quadrupole, l=0.5, k1=0.8, parametric=true;\nd: drift, l=1.0;\n"
+              "m1: monitor;\nc: hcorrector, kick=1e-4;\ns: sequence = (q, d, c, m1);")
+
+
+def _model_doc():
+    return json.loads(save_model(build(MODEL_TEXT, merge="minimal")))
+
+
+def _duplicate_taps(doc):
+    doc["layers"].append(dict(doc["layers"][-1]))
+    return doc
+
+
+@pytest.mark.parametrize("make", [
+    lambda: 5, lambda: [], lambda: "model", lambda: None,
+    lambda: {**_model_doc(), "layers": []},
+    lambda: {**_model_doc(), "layers": 5},
+    lambda: {**_model_doc(), "layers": [None]},
+    lambda: _duplicate_taps(_model_doc()),
+], ids=["number", "list", "string", "null", "no-layers", "layers-not-list",
+        "layer-not-object", "duplicate-taps"])
+def test_malformed_model_raises_format_error(make):
+    with pytest.raises(ModelFormatError):
+        load_model(json.dumps(make()).encode())
+
+
+def test_load_model_total_on_mutated_files():
+    """Random values and deletions anywhere in a model file: loads or ModelFormatError."""
+    base = _model_doc()
+    values = [5, -1, 0, 2.5, "x", None, True, [], {}, [1, 2], {"a": 1}, 1e308, ["m1"], [[1.0]]]
+
+    def paths(node, prefix=()):
+        yield prefix
+        children = node.items() if isinstance(node, dict) else \
+            enumerate(node[:3]) if isinstance(node, list) else ()
+        for k, v in children:
+            yield from paths(v, prefix + (k,))
+
+    where = list(paths(base))[1:]
+    rng = np.random.default_rng(20260826)
+    for _ in range(1000):
+        doc = copy.deepcopy(base)
+        if rng.integers(20) == 0:
+            doc = values[rng.integers(len(values))]
+        for _ in range(rng.integers(1, 3)):
+            path = where[rng.integers(len(where))]
+            try:
+                parent = doc
+                for k in path[:-1]:
+                    parent = parent[k]
+                if isinstance(parent, dict) and rng.integers(4) == 0:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = copy.deepcopy(values[rng.integers(len(values))])
+            except (KeyError, IndexError, TypeError):
+                pass  # an earlier mutation removed or replaced the path
+        try:
+            load_model(json.dumps(doc).encode())
+        except ModelFormatError:
+            pass
+
+
+def test_param_embedding_bit_equal_to_block_reference():
+    for state_dim, values, order in ((4, [0.8], 2), (2, [0.3, -1.2], 3)):
+        w = TaylorMap.zero_weights(state_dim, state_dim + len(values), order)
+        w[0][state_dim:, 0] = values
+        w[1][:state_dim, :] = np.eye(state_dim)
+        ref = TaylorMap(state_dim, state_dim + len(values), order, tuple(w))
+        got = _param_embedding(state_dim, order, values)
+        assert got.flat_coefficients().tobytes() == ref.flat_coefficients().tobytes()
+
+
 def test_missing_parameter_value_raises():
     text = ("q: quadrupole, l=0.5, k1=0.8, parametric=true;\n"
             "d: drift, l=1.0;\ns: sequence = (q, d);")
@@ -121,3 +195,41 @@ def test_large_synthetic_network_builds_and_serializes():
     assert len(net.layers) == 1519
     again = load_model(save_model(net))
     assert len(again.layers) == 1519
+
+
+# -- track CSV -------------------------------------------------------------------
+
+def _track_csv(*rows):
+    return "turn,tap,x,y,valid\n" + "".join(r + "\n" for r in rows)
+
+
+def test_track_csv_round_trip():
+    rec = TrackRecord.empty(["a", "b"], 3)
+    rec.readings[:] = np.arange(12.0).reshape(3, 2, 2) * 1e-4
+    rec.valid[2, 1] = False
+    again = TrackRecord.from_csv(rec.to_csv())
+    assert again.tap_labels == ["a", "b"]
+    assert np.array_equal(again.readings, rec.readings)
+    assert np.array_equal(again.valid, rec.valid)
+
+
+def test_track_csv_negative_turn_rejected():
+    text = _track_csv("0,a,1e-3,0.0,1", "1,a,2e-3,0.0,1", "-1,a,9.0,9.0,1")
+    with pytest.raises(ValueError, match="negative turn"):
+        TrackRecord.from_csv(text)
+
+
+@pytest.mark.parametrize("x, y", [("nan", "0.0"), ("0.0", "inf"), ("-inf", "nan")])
+def test_track_csv_nonfinite_valid_reading_rejected(x, y):
+    with pytest.raises(ValueError, match="non-finite"):
+        TrackRecord.from_csv(_track_csv("0,a,1e-3,0.0,1", f"1,a,{x},{y},1"))
+
+
+def test_track_csv_nonfinite_invalid_reading_kept_masked():
+    rec = TrackRecord.from_csv(_track_csv("0,a,1e-3,0.0,1", "1,a,nan,nan,0"))
+    assert rec.valid[:, 0, 0].tolist() == [True, False]
+
+
+def test_track_csv_short_row_rejected():
+    with pytest.raises(ValueError, match="missing"):
+        TrackRecord.from_csv(_track_csv("0,a,1e-3"))

@@ -56,6 +56,10 @@ def test_weights_are_immutable():
     m = drift_map(1.0, n=2, order=1)
     with pytest.raises(ValueError):
         m.weights[1][0, 0] = 7.0
+    with pytest.raises(ValueError):
+        m.flat_coefficients()[0, 1] = 7.0
+    with pytest.raises(AttributeError):
+        m.order = 2
 
 
 def test_flat_coefficients_roundtrip(rng):
@@ -264,6 +268,65 @@ def test_compose_matches_reference_loop(rng, order):
         ref = _reference_compose(first, second)
         got = compose(first, second).flat_coefficients()
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _block_compose(first, second):
+    """Composition as written before the flat layout: grown from `first.weights`,
+    returned as blocks split from the product and rejoined by the block constructor."""
+    k = first.order
+    basis, mid = first.basis, second.basis
+    p = np.zeros((mid.size, basis.size))
+    p[0, 0] = 1.0
+    if k:
+        p[1:mid.n_vars + 1] = np.concatenate(first.weights, axis=1)
+    for d in range(2, k + 1):
+        s = slice(mid.offsets[d], mid.offsets[d] + mid.block_size(d))
+        p[s] = basis.multiply(p[1 + mid.var[s]], p[mid.parent[s]])
+    coeffs = np.concatenate(second.weights, axis=1) @ p
+    return TaylorMap(first.n_in, second.n_out, k,
+                     tuple(np.split(coeffs, basis.offsets[1:], axis=1)))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_compose_bit_equal_to_block_reference(rng, order):
+    embed = TaylorMap.zero_weights(4, 5, order)
+    embed[0][4, 0] = 0.8
+    embed[1][:4] = np.eye(4)
+    pairs = [(random_map(rng, n, n, order=order), random_map(rng, n, n, order=order))
+             for n in (1, 2, 4, 6)]
+    pairs += [(random_map(rng, 5, 4, order=order), random_map(rng, 4, 4, order=order)),
+              (TaylorMap(4, 5, order, tuple(embed)), random_map(rng, 5, 4, order=order))]
+    for first, second in pairs:
+        got, want = compose(first, second), _block_compose(first, second)
+        assert got.flat_coefficients().tobytes() == want.flat_coefficients().tobytes()
+        for a, b in zip(got.weights, want.weights):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_from_flat_neither_freezes_nor_aliases(rng):
+    coeffs = rng.standard_normal((3, get_basis(2, 2).size))
+    before = coeffs.copy()
+    m = TaylorMap.from_flat(coeffs, 2, 2)
+    assert coeffs.flags.writeable
+    assert not np.shares_memory(coeffs, m.flat_coefficients())
+    assert not m.flat_coefficients().flags.writeable
+    assert all(not w.flags.writeable for w in m.weights)
+    coeffs[0, 0] += 1.0  # the caller edits its array; the map keeps its own copy
+    assert np.array_equal(m.flat_coefficients(), before)
+    again = TaylorMap.from_flat(m.flat_coefficients(), 2, 2)
+    assert not np.shares_memory(again.flat_coefficients(), m.flat_coefficients())
+
+
+def test_from_flat_validates_shape_and_values():
+    size = get_basis(2, 2).size
+    with pytest.raises(ShapeError):
+        TaylorMap.from_flat(np.zeros((2, size + 1)), 2, 2)
+    with pytest.raises(ShapeError):
+        TaylorMap.from_flat(np.zeros(size), 2, 2)
+    bad = np.zeros((2, size))
+    bad[1, 3] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        TaylorMap.from_flat(bad, 2, 2)
 
 
 def test_compose_dimension_mismatch(rng):

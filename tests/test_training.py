@@ -7,12 +7,13 @@ import pytest
 
 from polytrack import symplectic, training
 from polytrack.analysis import track_turns
+from polytrack.correction import get_kicks, set_kicks
 from polytrack.network import Layer, Network, TrackRecord, forward
 from polytrack.training import (TrainConfig, TrainSample, TrainingDivergence,
                                 gradients, loss, samples_from_csv,
                                 samples_to_csv, train)
 
-from conftest import LINEAR_RING_TEXT, build, random_map
+from conftest import LINEAR_RING_TEXT, build, random_map, weight_block
 
 
 X0 = np.array([1e-3, 0.0, 0.5e-3, 0.0])
@@ -83,9 +84,10 @@ def test_gradients_match_finite_differences(rng):
     grads, _, _, _, _ = gradients(net, [sample], sym_weight=1.0)
     h = 1e-5
     checked = 0
-    for i, gl in grads.items():
+    for i, flat in grads.items():
         layer = net.layers[i]
-        for d, g in enumerate(gl):
+        for d in range(layer.map.order + 1):
+            g = weight_block(flat, layer.map.basis, d)
             for _ in range(12):
                 r = int(rng.integers(g.shape[0]))
                 c = int(rng.integers(g.shape[1]))
@@ -272,3 +274,94 @@ def test_samples_csv_round_trip():
         np.testing.assert_array_equal(a.observed.readings, b.observed.readings)
         np.testing.assert_array_equal(a.observed.valid, b.observed.valid)
         assert a.observed.tap_labels == b.observed.tap_labels
+
+
+MIXED_TEXT = ("q: quadrupole, l=0.5, k1=0.8, parametric=true;\n"
+              "hc: hcorrector, kick=1e-4;\nvc: vcorrector, kick=-2e-4;\n"
+              "d: drift, l=1.0;\nsf: sextupole, l=0.2, k2=3.0;\n"
+              "m1: monitor;\nm2: monitor;\n"
+              "s: sequence = (q, d, hc, vc, m1, sf, d, m2);")
+
+
+def _block_adam_reference(net, samples, config):
+    """Adam as it ran per weight block before the flat layout, on the same gradients."""
+    net = net.copy()
+    trainable = [i for i, l in enumerate(net.layers) if l.label in config.trainable_labels]
+    moments = {}
+
+    def adam_update(key, theta, g, step):
+        m, v = moments.get(key, (np.zeros_like(theta), np.zeros_like(theta)))
+        m = config.beta1 * m + (1 - config.beta1) * g
+        v = config.beta2 * v + (1 - config.beta2) * g * g
+        moments[key] = (m, v)
+        mhat = m / (1 - config.beta1 ** step)
+        vhat = v / (1 - config.beta2 ** step)
+        return theta - config.learning_rate * mhat / (np.sqrt(vhat) + config.epsilon)
+
+    for epoch in range(config.epochs):
+        flat, _, _, _, _ = gradients(net, samples, config.sym_weight, config)
+        grads = {}
+        for i in trainable:
+            layer = net.layers[i]
+            masks = [np.ones_like(w, dtype=bool) for w in layer.map.weights]
+            if layer.kind in ("hcorrector", "vcorrector"):
+                masks = [np.zeros_like(w, dtype=bool) for w in layer.map.weights]
+                row = 1 if layer.kind == "hcorrector" or layer.map.n_out == 2 else 3
+                masks[0][row, 0] = True
+            blocks = np.split(flat[i], layer.map.basis.offsets[1:], axis=1)
+            grads[i] = [g * m for g, m in zip(blocks, masks)]
+        gnorm = np.sqrt(sum(float(np.sum(g ** 2)) for gl in grads.values() for g in gl))
+        scale = min(1.0, config.clip_norm / gnorm) if gnorm > 0 else 1.0
+        for i in trainable:
+            layer = net.layers[i]
+            layer.map = layer.map.with_weights(
+                [adam_update((i, d), np.array(w), scale * g, epoch + 1)
+                 for d, (w, g) in enumerate(zip(layer.map.weights, grads[i]))])
+    return net
+
+
+@pytest.mark.parametrize("sym_weight", [0.0, 1.0])
+def test_train_matches_block_adam_reference(sym_weight):
+    net = build(MIXED_TEXT)
+    machine = net.copy()
+    set_kicks(machine, {"hc": 3e-4, "vc": 1e-4})
+    samples = [_sample(machine, x0=x0, n_turns=2, params={"q": 0.9})
+               for x0 in (X0, np.array([-0.5e-3, 1e-4, 0.8e-3, 0.0]))]
+    for s in samples:
+        s.params = {"q": 0.8}
+    cfg = TrainConfig(epochs=25, learning_rate=2e-5, clip_norm=1e-3, sym_weight=sym_weight,
+                      trainable_labels=["q", "hc", "vc", "sf"])
+    trained, _ = train(net, samples, cfg)
+    reference = _block_adam_reference(net, samples, cfg)
+    for before, got, want in zip(net.layers, trained.layers, reference.layers):
+        got, want = got.map.flat_coefficients(), want.map.flat_coefficients()
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), before.label
+        moved = not np.array_equal(got, before.map.flat_coefficients())
+        assert moved == (before.label in cfg.trainable_labels), before.label
+    assert get_kicks(trained)["hc"] != 1e-4 and get_kicks(trained)["vc"] != -2e-4
+
+
+def test_corrector_mask_is_the_kick_entry():
+    net = build(MIXED_TEXT)
+    for layer in net.layers:
+        mask = layer.trainable_mask()
+        assert mask.shape == layer.map.flat_coefficients().shape
+        if layer.kind in ("hcorrector", "vcorrector"):
+            assert np.flatnonzero(mask).tolist() == [layer.kick_row * mask.shape[1]]
+            assert layer.kick_row == (1 if layer.kind == "hcorrector" else 3)
+        else:
+            assert mask.all()
+
+
+@pytest.mark.parametrize("bad_row, message", [("0,-1,bpm,1e-3,0.0,1", "negative turn"),
+                                              ("0,1,bpm,nan,0.0,1", "non-finite")])
+def test_samples_csv_rejects_bad_rows(bad_row, message):
+    csv_text, x0_text = samples_to_csv([_sample(_ring(), n_turns=3)])
+    with pytest.raises(ValueError, match=message):
+        samples_from_csv(csv_text + bad_row + "\n", x0_text)
+
+
+def test_samples_csv_rejects_non_object_sidecar():
+    csv_text, _ = samples_to_csv([_sample(_ring(), n_turns=1)])
+    with pytest.raises(ValueError, match="x0 sidecar"):
+        samples_from_csv(csv_text, "5")
