@@ -14,8 +14,8 @@ index of degree d.
 Each monomial of degree >= 1 grows from one of the degree below: it is
 monomial `parent[j]` times variable `var[j]`, its last non-zero variable.
 That growth table builds every degree-d block from the degree-(d-1) one by
-a gather and one multiply, both for values at a point (`eval_flat`) and for
-polynomials (`polymap.compose`).
+a gather and one multiply, both for values (`eval_flat`, at one point or at
+a particles-last batch of points) and for polynomials (`polymap.compose`).
 """
 
 from __future__ import annotations
@@ -136,9 +136,13 @@ class MonomialBasis:
         return self._derivative_table
 
     def eval_flat(self, x: np.ndarray) -> np.ndarray:
-        """Values of every monomial (all degrees) at a point, grown degree by degree."""
+        """Values of every monomial (all degrees), grown degree by degree.
+
+        `x` is one point `(n_vars,)` or a particles-last batch `(n_vars, N)`;
+        the result is `(size,)` or `(size, N)`, one column per particle.
+        """
         x = np.asarray(x, dtype=np.float64)
-        out = np.empty(self.size)
+        out = np.empty(self.size if x.ndim == 1 else (self.size, x.shape[1]))
         out[0] = 1.0
         if self.max_order:
             out[1:self.n_vars + 1] = x

@@ -173,6 +173,8 @@ def cmd_correct(args) -> int:
     except correction.InfeasibleCorrection as exc:
         print(f"error: infeasible correction: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except ValueError as exc:  # observed data the model cannot use, e.g. a missing BPM
+        raise CliError(f"{args.observed}: {exc}")
     Path(args.output).write_bytes(network.save_model(result.network))
     if args.result:
         Path(args.result).write_text(result.to_json())

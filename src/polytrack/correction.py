@@ -134,7 +134,7 @@ def correct_orbit(net: Network, observed: TrackRecord, mask=None, x0=None,
 
     The observed readings are assumed affine in the kicks with the model
     network providing the response; the returned network has the kicks
-    installed.
+    installed.  Raises ValueError if `observed` lacks one of the model's BPMs.
     """
     net = net.copy()
     names = corrector_labels(net)
@@ -143,6 +143,9 @@ def correct_orbit(net: Network, observed: TrackRecord, mask=None, x0=None,
     if x0 is None:
         x0 = np.zeros(net.state_dim)
     labels = net.tap_labels()
+    missing = [l for l in labels if l not in observed.tap_labels]
+    if missing:
+        raise ValueError(f"observed orbit has no readings for model BPM(s) {', '.join(missing)}")
     obs_order = [observed.tap_labels.index(l) for l in labels]
     readings = observed.readings[0, obs_order]
     m = observed.valid[0, obs_order]

@@ -85,16 +85,20 @@ class Network:
         return seen
 
 
-def _layer_input(layer: Layer, x: np.ndarray, params) -> np.ndarray:
-    if not layer.params:
-        return x
+def _param_values(layer: Layer, params) -> list:
+    """The values `params` binds to the layer's parameter inputs, in input order."""
     if params is None:
         raise ParameterError(f"layer '{layer.label}' needs parameters {layer.params}")
     try:
-        extra = [params[p] for p in layer.params]
+        return [params[p] for p in layer.params]
     except KeyError as exc:
         raise ParameterError(f"missing parameter value for {exc.args[0]!r}") from None
-    return np.concatenate([x, np.asarray(extra, dtype=np.float64)])
+
+
+def _layer_input(layer: Layer, x: np.ndarray, params) -> np.ndarray:
+    if not layer.params:
+        return x
+    return np.concatenate([x, np.asarray(_param_values(layer, params), dtype=np.float64)])
 
 
 def _position(x: np.ndarray) -> tuple[float, float]:
@@ -122,9 +126,7 @@ def forward_batch(net: Network, x0s, params=None):
     taps = {}
     for layer in net.layers:
         if layer.params:
-            if params is None:
-                raise ParameterError(f"layer '{layer.label}' needs parameters {layer.params}")
-            extra = np.array([params[p] for p in layer.params], dtype=np.float64)
+            extra = np.array(_param_values(layer, params), dtype=np.float64)
             x = np.hstack([x, np.broadcast_to(extra, (x.shape[0], extra.size))])
         x = evaluate_batch(layer.map, x)
         if layer.tap:
@@ -149,9 +151,7 @@ def one_turn_map(net: Network, params=None) -> TaylorMap:
     maps = []
     for layer in net.layers:
         if layer.params:
-            if params is None:
-                raise ParameterError(f"layer '{layer.label}' needs parameters {layer.params}")
-            values = [params[p] for p in layer.params]
+            values = _param_values(layer, params)
             maps.append(compose(_param_embedding(net.state_dim, net.order, values), layer.map))
         else:
             maps.append(layer.map)
@@ -292,9 +292,13 @@ class TrackRecord:
 
     @classmethod
     def _from_rows(cls, rows) -> "TrackRecord":
-        """Record from `to_csv` rows (dicts); raises ValueError or KeyError on bad rows."""
+        """Record from `to_csv` rows (dicts); raises ValueError or KeyError on bad rows.
+
+        A (turn, tap) pair may appear once; turns with no row read as invalid.
+        """
         labels = []
         parsed = []
+        seen = set()
         for r in rows:
             try:
                 t, x, y, valid = int(r["turn"]), float(r["x"]), float(r["y"]), bool(int(r["valid"]))
@@ -304,6 +308,9 @@ class TrackRecord:
                 raise ValueError(f"negative turn {t}")
             if valid and not (np.isfinite(x) and np.isfinite(y)):
                 raise ValueError(f"non-finite reading at turn {t}, tap '{r['tap']}' marked valid")
+            if (t, r["tap"]) in seen:
+                raise ValueError(f"duplicate row for turn {t}, tap '{r['tap']}'")
+            seen.add((t, r["tap"]))
             if r["tap"] not in labels:
                 labels.append(r["tap"])
             parsed.append((t, labels.index(r["tap"]), x, y, valid))

@@ -12,6 +12,14 @@ x[var[j]]) drives evaluation, `flat @ basis.eval_flat(x)`, and composition,
 which grows each monomial of the middle variables as a polynomial in the
 inputs with one row-wise `basis.multiply` per degree and applies the outer
 flat matrix.
+
+A map builds its polynomial Jacobian (one gather-and-scale through the
+basis derivative table) the first time `jacobian` asks for it and keeps it
+as a read-only array; every later `jacobian` call, with or without `wrt`,
+is a slice of it.  Training's adjoint and the symplectic residual share
+that cache, so a frozen layer's Jacobian is built once per map object.
+Pickling or copying a map goes through `from_flat`: the copy is read-only
+and starts with no cached views or Jacobian.
 """
 
 from __future__ import annotations
@@ -75,6 +83,10 @@ class TaylorMap:
     def __repr__(self):
         return f"TaylorMap(n_in={self.n_in}, n_out={self.n_out}, order={self.order})"
 
+    def __reduce__(self):
+        # pickle and copy rebuild through from_flat: a read-only copy, no cached views
+        return (TaylorMap.from_flat, (self._flat, self.n_in, self.order))
+
     @property
     def basis(self) -> MonomialBasis:
         return get_basis(self.n_in, self.order)
@@ -83,6 +95,11 @@ class TaylorMap:
     def weights(self) -> tuple:
         """Read-only blocks (W0, ..., Wk): views of the flat matrix, one per degree."""
         return tuple(np.split(self._flat, self.basis.offsets[1:], axis=1))
+
+    @cached_property
+    def _jacobian(self) -> np.ndarray:
+        """Read-only coefficients of the full Jacobian, built on first use (see `jacobian`)."""
+        return _jacobian_coeffs(self)
 
     # -- construction helpers -------------------------------------------------
 
@@ -186,17 +203,26 @@ class PolyMatrix:
         return self.coeffs @ self.basis.eval_flat(x)
 
 
+def _jacobian_coeffs(tmap: TaylorMap) -> np.ndarray:
+    """(n_out, n_in, basis(n_in, k-1).size) Jacobian coefficients, read-only."""
+    src, var, tgt, mult = tmap.basis.derivative_table
+    jbasis = get_basis(tmap.n_in, max(tmap.order - 1, 0))
+    coeffs = np.zeros((tmap.n_out, tmap.n_in, jbasis.size))
+    coeffs[:, var, tgt] += mult * tmap.flat_coefficients()[:, src]  # one source per target
+    coeffs.setflags(write=False)
+    return coeffs
+
+
 def jacobian(tmap: TaylorMap, wrt: int | None = None) -> PolyMatrix:
     """Polynomial Jacobian d(output)/d(input).
 
     `wrt` limits differentiation to the first `wrt` input variables (used to
     freeze trailing parameter inputs); coefficients stay polynomials in all
-    inputs.
+    inputs.  The full Jacobian is built once per map and cached on it (maps
+    are immutable); every call returns a read-only slice of that cache.
     """
     n_cols = tmap.n_in if wrt is None else wrt
-    table = tmap.basis.derivative_table
-    src, var, tgt, mult = table[:, table[1] < n_cols]
+    if not 0 <= n_cols <= tmap.n_in:
+        raise ShapeError(f"cannot differentiate by {n_cols} of {tmap.n_in} inputs")
     jbasis = get_basis(tmap.n_in, max(tmap.order - 1, 0))
-    coeffs = np.zeros((tmap.n_out, n_cols, jbasis.size))
-    coeffs[:, var, tgt] += mult * tmap.flat_coefficients()[:, src]  # one source per target
-    return PolyMatrix(tmap.n_out, n_cols, jbasis, coeffs)
+    return PolyMatrix(tmap.n_out, n_cols, jbasis, tmap._jacobian[:, :n_cols])

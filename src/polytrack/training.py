@@ -4,6 +4,16 @@ Loss = mean squared error over unmasked tap readings plus a weighted sum of
 symplectic penalties of the trainable layers.  Gradients are exact reverse
 accumulation through the layer Jacobians; optimization is Adam with global
 gradient-norm clipping.
+
+One forward pass runs every sample at once, its state stored
+particles-last as an (n, N) array; samples keep their own injection state,
+parameter values, turn count, taps and mask.  The pass keeps each layer's
+input monomials, and the adjoint goes back through them: per layer one
+weight-gradient product and one Jacobian contraction for all samples.  The
+layer Jacobians come from the maps' own caches (`polymap.jacobian`), so a
+frozen layer's is built once and the trainable layer's once per epoch,
+shared with the symplectic residual.  A masked reading adds exactly
+nothing, even where the model or the file holds a non-finite value.
 """
 
 from __future__ import annotations
@@ -15,8 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .network import Network, TrackRecord, _layer_input
-from .polymap import TaylorMap, evaluate, jacobian
+from .network import Network, TrackRecord, _param_values
+from .polymap import ShapeError, TaylorMap, jacobian
 from .symplectic import _residual, _weight_gradient, symplectic_penalty
 
 
@@ -86,44 +96,83 @@ def _trainable_indices(net: Network, config: TrainConfig | None = None) -> list[
     return [i for i, l in enumerate(net.layers) if l.trainable]
 
 
-def _me_terms(net: Network, samples) -> tuple[float, int, list]:
-    """Mean-error numerator, reading count, and per-sample prediction context."""
+@dataclass
+class _Pass:
+    """Every sample's forward pass at once, states particles-last.
+
+    Samples run in `order`, by descending turn count, so the samples still
+    running in turn t are the first `active[t]` columns.  `monos[t][li]` holds
+    every monomial of layer li's input in turn t, `(basis.size, active[t])`,
+    and `dreadings[t]` the loss gradient with respect to the network's tap
+    readings, `(n_taps, 2, active[t])`; both are zero for readings no sample
+    observes.
+    """
+
+    me: float
+    order: list
+    active: list
+    monos: list
+    dreadings: list
+
+
+def _forward_pass(net: Network, samples) -> _Pass:
     labels = net.tap_labels()
-    contexts = []
-    sq_sum = 0.0
-    count = 0
-    for sample in samples:
-        obs = sample.observed
-        mask = sample.effective_mask()
-        for t_label in obs.tap_labels:
+    n = net.state_dim
+    turns = [s.observed.n_turns for s in samples]
+    order = sorted(range(len(samples)), key=lambda s: -turns[s])
+    samples = [samples[s] for s in order]
+    n_turns = max(turns, default=0)
+    active = [sum(nt > t for nt in turns) for t in range(n_turns)]
+    # each sample's injection state, and its readings and mask scattered onto the network's taps
+    x = np.zeros((n, len(samples)))
+    observed = np.zeros((n_turns, len(labels), 2, len(samples)))
+    used = np.zeros(observed.shape, dtype=bool)
+    for c, sample in enumerate(samples):
+        x0 = np.asarray(sample.x0, dtype=np.float64)
+        if x0.shape != (n,):
+            raise ShapeError(f"x0 has shape {x0.shape}, network expects ({n},)")
+        x[:, c] = x0
+        rec = sample.observed
+        for t_label in rec.tap_labels:
             if t_label not in labels:
                 raise ValueError(f"observed tap '{t_label}' does not exist in the network")
-        inputs = []  # [turn][layer] state entering that layer, plus the final state
-        residual = np.zeros_like(obs.readings)
-        x = np.asarray(sample.x0, dtype=np.float64)
-        for t in range(obs.n_turns):
-            states = [x]
-            tap_states = []
-            for layer in net.layers:
-                x = evaluate(layer.map, _layer_input(layer, x, sample.params))
-                states.append(x)
-                if layer.tap:
-                    tap_states.append(np.array([x[0], x[2] if net.state_dim >= 4 else 0.0]))
-            inputs.append(states)
-            for j, t_label in enumerate(obs.tap_labels):
-                residual[t, j] = tap_states[labels.index(t_label)] - obs.readings[t, j]
-        sq_sum += float(np.sum((residual[mask]) ** 2))
-        count += int(mask.sum())
-        contexts.append((inputs, residual, mask))
+        cols = [labels.index(t_label) for t_label in rec.tap_labels]
+        observed[:rec.n_turns, :, :, c][:, cols] = rec.readings
+        used[:rec.n_turns, :, :, c][:, cols] = sample.effective_mask()
+    count = int(used.sum())
     if count == 0:
         raise ValueError("no unmasked readings to train on")
-    return sq_sum / count, count, contexts
+    extra = {li: np.array([_param_values(layer, s.params) for s in samples], dtype=np.float64).T
+             for li, layer in enumerate(net.layers) if layer.params}
+    sq_sum = 0.0
+    monos, dreadings = [], []
+    for t, k in enumerate(active):
+        x = x[:, :k]
+        turn_monos = []
+        taps = np.zeros((len(labels), 2, k))
+        tap_i = 0
+        for li, layer in enumerate(net.layers):
+            inp = np.concatenate([x, extra[li][:, :k]]) if layer.params else x
+            mono = layer.map.basis.eval_flat(inp)
+            x = layer.map.flat_coefficients() @ mono
+            turn_monos.append(mono)
+            if layer.tap:
+                taps[tap_i, 0] = x[0]
+                if n >= 4:
+                    taps[tap_i, 1] = x[2]
+                tap_i += 1
+        # masked readings add exactly nothing, whatever the model or the file holds there
+        err = np.where(used[t, :, :, :k], taps - observed[t, :, :, :k], 0.0)
+        sq_sum += float(np.sum(err ** 2))
+        monos.append(turn_monos)
+        dreadings.append(2.0 * err / count)
+    return _Pass(sq_sum / count, order, active, monos, dreadings)
 
 
 def loss(net: Network, samples, sym_weight: float = 1.0,
          config: TrainConfig | None = None) -> tuple[float, float, float]:
     """Returns (total, me, sym_penalty_sum)."""
-    me, _, _ = _me_terms(net, samples)
+    me = _forward_pass(net, samples).me
     s = sum(symplectic_penalty(net.layers[i].map, net.state_dim)
             for i in _trainable_indices(net, config))
     return me + sym_weight * s, me, s
@@ -139,47 +188,55 @@ def gradients(net: Network, samples, sym_weight: float = 1.0,
     one vector per sample (populated only when fit_initial_condition is set)
     and param_grads is one {name: d loss / d value} dict per sample (populated
     only when fit_parameters is set).
+
+    One forward pass runs all samples together (`_forward_pass`); the
+    adjoint then goes back through it, turn by turn and layer by layer, as
+    one `(n, N)` array.  Per layer it reuses the forward monomials for one
+    weight-gradient product `adj @ mono.T` and one Jacobian contraction over
+    all samples; the layer Jacobians come from each map's cache.
     """
     trainable = _trainable_indices(net, config)
     fit_x0 = bool(config and config.fit_initial_condition)
     fit_params = bool(config and config.fit_parameters)
-    me, count, contexts = _me_terms(net, samples)
-    labels = net.tap_labels()
+    fw = _forward_pass(net, samples)
     n = net.state_dim
     grads = {i: np.zeros_like(net.layers[i].map.flat_coefficients()) for i in trainable}
     jacs = [jacobian(l.map) for l in net.layers]
-    x0_grads = []
-    param_grads = []
+    names = net.param_names()
+    rows = [[names.index(p) for p in l.params] for l in net.layers]
+    dparams = np.zeros((len(names), len(samples)))
+    adj = np.zeros((n, len(samples)))
 
-    for sample, (inputs, residual, mask) in zip(samples, contexts):
-        obs = sample.observed
-        rec_idx = {labels.index(t): j for j, t in enumerate(obs.tap_labels)}
-        adj = np.zeros(n)
-        pg = {}
-        for t in reversed(range(obs.n_turns)):
-            tap_i = len(labels)
-            for li in reversed(range(len(net.layers))):
-                layer = net.layers[li]
-                if layer.tap:
-                    tap_i -= 1
-                    j = rec_idx.get(tap_i)
-                    if j is not None:
-                        g = 2.0 * residual[t, j] * mask[t, j] / count
-                        adj[0] += g[0]
-                        if n >= 4:
-                            adj[2] += g[1]
-                # every monomial of the layer input; the Jacobian basis is a prefix
-                mono = layer.map.basis.eval_flat(_layer_input(layer, inputs[t][li], sample.params))
-                if li in trainable:
-                    grads[li] += np.outer(adj, mono)
-                jmat = jacs[li].coeffs @ mono[:jacs[li].basis.size]  # (n_out, n_in_total)
-                full = jmat.T @ adj
-                if fit_params:
-                    for k, name in enumerate(layer.params):
-                        pg[name] = pg.get(name, 0.0) + float(full[n + k])
-                adj = full[:n]
-        x0_grads.append(adj if fit_x0 else np.zeros(n))
-        param_grads.append(pg)
+    for t in reversed(range(len(fw.active))):
+        k = fw.active[t]
+        a = adj[:, :k]
+        tap_i = len(fw.dreadings[t])
+        for li in reversed(range(len(net.layers))):
+            layer = net.layers[li]
+            if layer.tap:
+                tap_i -= 1
+                a[0] += fw.dreadings[t][tap_i, 0]
+                if n >= 4:
+                    a[2] += fw.dreadings[t][tap_i, 1]
+            mono = fw.monos[t][li]
+            if li in trainable:
+                grads[li] += a @ mono.T
+            jac = jacs[li]
+            # every sample's Jacobian at its layer input, then J^T adj per sample
+            jm = jac.coeffs.reshape(-1, jac.basis.size) @ mono[:jac.basis.size]
+            full = np.einsum("iak,ik->ak", jm.reshape(n, jac.n_cols, k), a)
+            if fit_params and layer.params:
+                dparams[rows[li], :k] += full[n:]
+            a = full[:n]
+        adj[:, :k] = a
+
+    x0_grads = [np.zeros(n) for _ in samples]
+    param_grads = [{} for _ in samples]
+    for c, si in enumerate(fw.order):
+        if fit_x0:
+            x0_grads[si] = adj[:, c].copy()
+        if fit_params and samples[si].observed.n_turns:
+            param_grads[si] = {name: float(dparams[j, c]) for j, name in enumerate(names)}
 
     s = 0.0
     for i in trainable:
@@ -189,7 +246,7 @@ def gradients(net: Network, samples, sym_weight: float = 1.0,
         if sym_weight != 0.0:
             grads[i] += sym_weight * _weight_gradient(tmap, residual, jd)
         grads[i] *= net.layers[i].trainable_mask()
-    return grads, x0_grads, param_grads, me, s
+    return grads, x0_grads, param_grads, fw.me, s
 
 
 def train(net: Network, samples, config: TrainConfig) -> tuple[Network, TrainReport]:

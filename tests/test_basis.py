@@ -97,6 +97,18 @@ def _reference_eval_flat(basis, x):
     return out
 
 
+def _one_point_eval_flat(basis, x):
+    """The growth loop as it ran on one point only, before it took batches."""
+    out = np.empty(basis.size)
+    out[0] = 1.0
+    if basis.max_order:
+        out[1:basis.n_vars + 1] = x
+    for d in range(2, basis.max_order + 1):
+        s = slice(basis.offsets[d], basis.offsets[d] + basis.block_size(d))
+        np.multiply(out[basis.parent[s]], x[basis.var[s]], out=out[s])
+    return out
+
+
 def _reference_multiply(basis, a, b):
     out = np.zeros(basis.size)
     nza, nzb = np.nonzero(a)[0], np.nonzero(b)[0]
@@ -127,6 +139,21 @@ def test_eval_flat_matches_power_reference(rng, n_vars):
             x = rng.uniform(-1, 1, n_vars) * 10.0 ** rng.uniform(-4, 1, n_vars)
             np.testing.assert_allclose(basis.eval_flat(x), _reference_eval_flat(basis, x),
                                        rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("n_vars", [1, 2, 3, 4, 5, 6])
+def test_eval_flat_batch_columns_bit_equal_to_single_points(rng, n_vars):
+    for order in range(5):
+        basis = MonomialBasis(n_vars, order)
+        xs = rng.uniform(-1, 1, (n_vars, 7)) * 10.0 ** rng.uniform(-4, 1, (n_vars, 7))
+        batch = basis.eval_flat(xs)
+        assert batch.shape == (basis.size, 7)
+        for c in range(7):
+            single = basis.eval_flat(xs[:, c])
+            assert single.shape == (basis.size,)
+            assert single.tobytes() == _one_point_eval_flat(basis, xs[:, c]).tobytes()
+            assert batch[:, c].tobytes() == single.tobytes()
+        assert basis.eval_flat(xs[:, :0]).shape == (basis.size, 0)
 
 
 @pytest.mark.parametrize("n_vars, order", [(1, 4), (2, 3), (4, 3), (5, 2), (6, 2)])

@@ -213,7 +213,7 @@ def test_malformed_model_is_input_error(tmp_path, mangle):
 
 
 BAD_TRACK_ROWS = {"negative-turn": "-1,{tap},1e-3,0.0,1", "nan-valid": "0,{tap},nan,0.0,1",
-                  "inf-valid": "0,{tap},1e-3,inf,1"}
+                  "inf-valid": "0,{tap},1e-3,inf,1", "duplicate": "0,{tap},1e-3,0.0,1"}
 
 
 @pytest.mark.parametrize("bad_row", BAD_TRACK_ROWS.values(), ids=BAD_TRACK_ROWS.keys())
@@ -232,6 +232,21 @@ def test_bad_track_rows_are_input_errors(tmp_path, bad_row):
                "-o", orbit) == 0
     orbit.write_text(orbit.read_text() + bad_row.format(tap="m3") + "\n")
     assert run("correct", line, "--observed", orbit, "-o", tmp_path / "c.json") == cli.EXIT_INPUT
+
+
+def test_correct_with_a_bpm_missing_from_the_csv_is_input_error(tmp_path, capsys):
+    lat, line, orbit = tmp_path / "line.lat", tmp_path / "line.json", tmp_path / "o.csv"
+    lat.write_text(transfer_line_text(bad_dx=2e-4))
+    assert run("build", lat, "-o", line) == 0
+    assert run("track", line, "--x0", "0,0,0,0", "--turns", "1", "--aperture", "1",
+               "-o", orbit) == 0
+    capsys.readouterr()
+    rows = orbit.read_text().splitlines(keepends=True)
+    orbit.write_text("".join(r for r in rows if ",m5," not in r and ",m9," not in r))
+    out = tmp_path / "c.json"
+    assert run("correct", line, "--observed", orbit, "-o", out) == cli.EXIT_INPUT
+    assert "m5, m9" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_version_flag(capsys):

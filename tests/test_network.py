@@ -230,6 +230,18 @@ def test_track_csv_nonfinite_invalid_reading_kept_masked():
     assert rec.valid[:, 0, 0].tolist() == [True, False]
 
 
+def test_track_csv_duplicate_row_rejected():
+    text = _track_csv("0,a,1e-3,0.0,1", "0,b,1e-3,0.0,1", "1,a,2e-3,0.0,1", "0,a,9.0,9.0,0")
+    with pytest.raises(ValueError, match="duplicate row for turn 0, tap 'a'"):
+        TrackRecord.from_csv(text)
+
+
+def test_track_csv_missing_turn_reads_invalid():
+    rec = TrackRecord.from_csv(_track_csv("0,a,1e-3,0.0,1", "2,a,2e-3,0.0,1"))
+    assert rec.n_turns == 3
+    assert rec.valid[:, 0, 0].tolist() == [True, False, True]
+
+
 def test_track_csv_short_row_rejected():
     with pytest.raises(ValueError, match="missing"):
         TrackRecord.from_csv(_track_csv("0,a,1e-3"))

@@ -1,6 +1,8 @@
 """Taylor map algebra: evaluation, composition, Jacobians, batching."""
 
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -60,6 +62,23 @@ def test_weights_are_immutable():
         m.flat_coefficients()[0, 1] = 7.0
     with pytest.raises(AttributeError):
         m.order = 2
+
+
+@pytest.mark.parametrize("duplicate", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy,
+                                       copy.copy], ids=["pickle", "deepcopy", "copy"])
+def test_copies_are_read_only_and_carry_no_cache(rng, duplicate):
+    m = random_map(rng, 4, 4, order=2)
+    m.weights, jacobian(m)  # fill both caches on the original
+    again = duplicate(m)
+    assert again is not m and type(again) is TaylorMap
+    assert (again.n_in, again.n_out, again.order) == (m.n_in, m.n_out, m.order)
+    assert again.flat_coefficients().tobytes() == m.flat_coefficients().tobytes()
+    assert not again.flat_coefficients().flags.writeable
+    assert "weights" not in vars(again) and "_jacobian" not in vars(again)
+    with pytest.raises(ValueError):
+        again.flat_coefficients()[0, 0] = 7.0
+    with pytest.raises(AttributeError):
+        again.order = 3
 
 
 def test_flat_coefficients_roundtrip(rng):
@@ -380,6 +399,20 @@ def test_jacobian_bit_equal_to_reference_loop(rng, n_in, order):
         jac = jacobian(m, wrt=wrt)
         assert jac.basis is get_basis(n_in, order - 1)
         assert jac.coeffs.tobytes() == _reference_jacobian_coeffs(m, wrt).tobytes()
+
+
+def test_jacobian_is_one_read_only_cache_per_map(rng):
+    m = random_map(rng, 5, 4, order=3)
+    full = jacobian(m).coeffs
+    with pytest.raises(ValueError):
+        full[0, 0, 0] = 7.0
+    for wrt in range(6):
+        part = jacobian(m, wrt=wrt).coeffs
+        assert part.shape == (4, wrt, full.shape[2]) and np.shares_memory(part, full) == (wrt > 0)
+        with pytest.raises(ValueError):
+            part[...] = 0.0
+    with pytest.raises(ShapeError):
+        jacobian(m, wrt=6)
 
 
 @given(seed=st.integers(0, 10_000))

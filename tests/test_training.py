@@ -5,15 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from polytrack import symplectic, training
+from polytrack import polymap, symplectic, training
 from polytrack.analysis import track_turns
 from polytrack.correction import get_kicks, set_kicks
-from polytrack.network import Layer, Network, TrackRecord, forward
+from polytrack.network import Layer, Network, TrackRecord, _layer_input, forward
+from polytrack.polymap import ShapeError, evaluate, jacobian
 from polytrack.training import (TrainConfig, TrainSample, TrainingDivergence,
                                 gradients, loss, samples_from_csv,
                                 samples_to_csv, train)
 
-from conftest import LINEAR_RING_TEXT, build, random_map, weight_block
+from conftest import LINEAR_RING_TEXT, achromat_text, build, random_map, weight_block
 
 
 X0 = np.array([1e-3, 0.0, 0.5e-3, 0.0])
@@ -354,7 +355,8 @@ def test_corrector_mask_is_the_kick_entry():
 
 
 @pytest.mark.parametrize("bad_row, message", [("0,-1,bpm,1e-3,0.0,1", "negative turn"),
-                                              ("0,1,bpm,nan,0.0,1", "non-finite")])
+                                              ("0,1,bpm,nan,0.0,1", "non-finite"),
+                                              ("0,1,bpm,1e-3,0.0,1", "duplicate row")])
 def test_samples_csv_rejects_bad_rows(bad_row, message):
     csv_text, x0_text = samples_to_csv([_sample(_ring(), n_turns=3)])
     with pytest.raises(ValueError, match=message):
@@ -365,3 +367,197 @@ def test_samples_csv_rejects_non_object_sidecar():
     csv_text, _ = samples_to_csv([_sample(_ring(), n_turns=1)])
     with pytest.raises(ValueError, match="x0 sidecar"):
         samples_from_csv(csv_text, "5")
+
+
+# -- the per-sample pass the batched one replaced, kept as a reference ----------
+
+def _reference_me_terms(net, samples):
+    """Mean error, reading count and per-sample context, one sample and turn at a time."""
+    labels = net.tap_labels()
+    contexts = []
+    sq_sum = 0.0
+    count = 0
+    for sample in samples:
+        obs = sample.observed
+        mask = sample.effective_mask()
+        inputs = []  # [turn][layer] state entering that layer, plus the final state
+        residual = np.zeros_like(obs.readings)
+        x = np.asarray(sample.x0, dtype=np.float64)
+        for t in range(obs.n_turns):
+            states = [x]
+            tap_states = []
+            for layer in net.layers:
+                x = evaluate(layer.map, _layer_input(layer, x, sample.params))
+                states.append(x)
+                if layer.tap:
+                    tap_states.append(np.array([x[0], x[2] if net.state_dim >= 4 else 0.0]))
+            inputs.append(states)
+            for j, t_label in enumerate(obs.tap_labels):
+                residual[t, j] = tap_states[labels.index(t_label)] - obs.readings[t, j]
+        sq_sum += float(np.sum((residual[mask]) ** 2))
+        count += int(mask.sum())
+        contexts.append((inputs, residual, mask))
+    return sq_sum / count, count, contexts
+
+
+def _reference_gradients(net, samples, sym_weight, config):
+    """Reverse accumulation sample by sample, re-growing every layer's monomials."""
+    trainable = training._trainable_indices(net, config)
+    me, count, contexts = _reference_me_terms(net, samples)
+    labels = net.tap_labels()
+    n = net.state_dim
+    grads = {i: np.zeros_like(net.layers[i].map.flat_coefficients()) for i in trainable}
+    jacs = [jacobian(l.map) for l in net.layers]
+    x0_grads, param_grads = [], []
+    for sample, (inputs, residual, mask) in zip(samples, contexts):
+        obs = sample.observed
+        rec_idx = {labels.index(t): j for j, t in enumerate(obs.tap_labels)}
+        adj = np.zeros(n)
+        pg = {}
+        for t in reversed(range(obs.n_turns)):
+            tap_i = len(labels)
+            for li in reversed(range(len(net.layers))):
+                layer = net.layers[li]
+                if layer.tap:
+                    tap_i -= 1
+                    j = rec_idx.get(tap_i)
+                    if j is not None:
+                        g = 2.0 * residual[t, j] * mask[t, j] / count
+                        adj[0] += g[0]
+                        if n >= 4:
+                            adj[2] += g[1]
+                mono = layer.map.basis.eval_flat(_layer_input(layer, inputs[t][li], sample.params))
+                if li in trainable:
+                    grads[li] += np.outer(adj, mono)
+                full = (jacs[li].coeffs @ mono[:jacs[li].basis.size]).T @ adj
+                if config.fit_parameters:
+                    for k, name in enumerate(layer.params):
+                        pg[name] = pg.get(name, 0.0) + float(full[n + k])
+                adj = full[:n]
+        x0_grads.append(adj if config.fit_initial_condition else np.zeros(n))
+        param_grads.append(pg)
+    s = 0.0
+    for i in trainable:
+        tmap = net.layers[i].map
+        res, jd = symplectic._residual(tmap, n)
+        s += float(np.sum(res.coeffs ** 2))
+        if sym_weight != 0.0:
+            grads[i] += sym_weight * symplectic._weight_gradient(tmap, res, jd)
+        grads[i] *= net.layers[i].trainable_mask()
+    return grads, x0_grads, param_grads, me, s
+
+
+def _close(got, want, bound=1e-14):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    return np.max(np.abs(got - want), initial=0.0) <= bound * np.max(np.abs(want), initial=0.0)
+
+
+def _mixed_samples(net, n_samples=3):
+    """Samples with 3, 1 and 2 turns, different tap subsets, masks and parameter values."""
+    machine = net.copy()
+    set_kicks(machine, {"hc": 3e-4, "vc": 1e-4})
+    rng = np.random.default_rng(5)
+    specs = [(3, ["m1", "m2"], 0.9), (1, ["m2"], 0.75), (2, ["m2", "m1"], 0.85)]
+    samples = []
+    for n_turns, taps, k in specs[:n_samples]:
+        x0 = rng.uniform(-1e-3, 1e-3, 4)
+        full = track_turns(machine, x0, n_turns, params={"q": k}, aperture=1e9)
+        cols = [full.tap_labels.index(t) for t in taps]
+        obs = TrackRecord(taps, full.readings[:, cols], full.valid[:, cols])
+        mask = rng.random(obs.readings.shape) < 0.8
+        mask[0, 0] = True
+        samples.append(TrainSample(x0=x0 + 1e-5, observed=obs, mask=mask,
+                                   params={"q": k - 0.1}))
+    return samples
+
+
+@pytest.mark.parametrize("n_samples", [1, 3])
+@pytest.mark.parametrize("sym_weight", [0.0, 1.0])
+@pytest.mark.parametrize("fit", [False, True])
+def test_batched_pass_matches_per_sample_reference(n_samples, sym_weight, fit):
+    net = build(MIXED_TEXT)
+    samples = _mixed_samples(net, n_samples)
+    cfg = TrainConfig(sym_weight=sym_weight, trainable_labels=["q", "hc", "vc", "sf", "m1"],
+                      fit_initial_condition=fit, fit_parameters=fit)
+    got = gradients(net, samples, sym_weight, cfg)
+    want = _reference_gradients(net, samples, sym_weight, cfg)
+    assert sorted(got[0]) == sorted(want[0]) and len(got[0]) == 5
+    for i in want[0]:
+        assert _close(got[0][i], want[0][i]), net.layers[i].label
+    for g, w in zip(got[1], want[1]):
+        assert _close(g, w)
+        assert np.any(g) == fit
+    assert [sorted(p) for p in got[2]] == [sorted(p) for p in want[2]]
+    for g, w in zip(got[2], want[2]):
+        assert _close([g[k] for k in sorted(w)], [w[k] for k in sorted(w)])
+    assert _close(got[3], want[3]) and got[4] == want[4]
+    total, me, sym = loss(net, samples, sym_weight, cfg)
+    assert _close(me, want[3]) and sym == want[4]
+    assert _close(total, want[3] + sym_weight * want[4])
+
+
+def test_adam_correction_sample_matches_per_sample_reference():
+    """One sample with no parameters and only kicks trainable, as `_adam_kicks` trains."""
+    net = build(achromat_text({}), merge="minimal")
+    machine = build(achromat_text({i: 5e-5 * (-1) ** i for i in range(1, 11)}), merge="minimal")
+    x0 = np.zeros(4)
+    obs = track_turns(machine, x0, 1, aperture=1e9)
+    cfg = TrainConfig(sym_weight=0.0, trainable_labels=[f"c{i}" for i in range(1, 11)])
+    got = gradients(net, [TrainSample(x0, obs)], 0.0, cfg)
+    want = _reference_gradients(net, [TrainSample(x0, obs)], 0.0, cfg)
+    assert len(got[0]) == 10
+    for i in want[0]:
+        assert _close(got[0][i], want[0][i]) and np.any(got[0][i])
+
+
+def test_jacobians_built_once_per_map(monkeypatch):
+    net = build(MIXED_TEXT)
+    samples = _mixed_samples(net)
+    built = []
+    original = polymap._jacobian_coeffs
+
+    def counted(tmap):
+        built.append(tmap)  # also keeps each map alive, so ids stay distinct
+        return original(tmap)
+
+    monkeypatch.setattr(polymap, "_jacobian_coeffs", counted)
+    cfg = TrainConfig(epochs=10, learning_rate=1e-6, sym_weight=1.0, trainable_labels=["sf"],
+                      fit_parameters=True)
+    trained, _ = train(net, samples, cfg)
+    frozen = {id(l.map) for l in net.layers if l.label != "sf"}
+    counts = {}
+    for m in built:
+        counts[id(m)] = counts.get(id(m), 0) + 1
+    assert set(counts.values()) == {1}
+    assert frozen <= set(counts)
+    assert len(built) == len(frozen) + 10  # frozen maps once, the trained layer once per epoch
+    # a second fit of the same network reuses every cached Jacobian of its maps:
+    # only the nine maps that epochs 2-10 produce are new
+    train(net, samples, cfg)
+    assert len(built) == len(frozen) + 10 + 9
+
+
+def test_masked_non_finite_reading_adds_nothing():
+    net = _ring()
+    sample = _sample(net, n_turns=3)
+    sample.observed.readings[1, 0] = np.nan  # as a CSV row marked invalid may carry
+    sample.observed.valid[1, 0] = False
+    clean = _sample(net, n_turns=3)
+    clean.observed.valid[1, 0] = False
+    cfg = TrainConfig(epochs=3, learning_rate=1e-6, trainable_labels=["bpm"],
+                      fit_initial_condition=True)
+    got, want = gradients(net, [sample], 1.0, cfg), gradients(net, [clean], 1.0, cfg)
+    for i in want[0]:
+        assert np.array_equal(got[0][i], want[0][i])
+    assert np.array_equal(got[1][0], want[1][0]) and got[3] == want[3]
+    trained, report = train(net, [sample], cfg)
+    assert np.all(np.isfinite(report.loss))
+
+
+def test_wrong_x0_length_rejected():
+    net = _ring()
+    sample = _sample(net)
+    sample.x0 = np.zeros(3)
+    with pytest.raises(ShapeError, match="x0"):
+        loss(net, [sample])
