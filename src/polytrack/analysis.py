@@ -14,6 +14,11 @@ class FlatSignalError(ValueError):
     """No oscillation in the input series; tune undefined."""
 
 
+def _lost(x: np.ndarray, aperture: float) -> bool:
+    """End-of-turn loss: a coordinate beyond the aperture or not finite (NaN fails <=)."""
+    return not np.abs(x).max() <= aperture
+
+
 def track_turns(net: Network, x0, n_turns: int, aperture: float = 10e-3,
                 params=None) -> TrackRecord:
     """Repeat the one-turn forward pass, recording taps each turn.
@@ -31,8 +36,7 @@ def track_turns(net: Network, x0, n_turns: int, aperture: float = 10e-3,
     for t in range(n_turns):
         if not lost:
             x, taps = forward(net, x, params)
-            if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > aperture:
-                lost = True
+            lost = _lost(x, aperture)
         if lost:
             rec.valid[t] = False
             continue
@@ -43,15 +47,18 @@ def track_turns(net: Network, x0, n_turns: int, aperture: float = 10e-3,
 
 def turn_by_turn_state(net: Network, x0, n_turns: int, aperture: float = 10e-3,
                        params=None) -> np.ndarray:
-    """Full state at the start of each turn; stops early on loss."""
+    """Full state at the start of each turn, (turns, n); stops early on loss.
+
+    The turn on which the particle is lost is the last row.
+    """
     x = np.asarray(x0, dtype=np.float64)
-    out = []
-    for _ in range(n_turns):
-        out.append(x.copy())
+    out = np.empty((max(n_turns, 0),) + x.shape)
+    for t in range(n_turns):
+        out[t] = x
         x, _ = forward(net, x, params)
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > aperture:
-            break
-    return np.array(out)
+        if _lost(x, aperture):
+            return out[:t + 1]
+    return out
 
 
 def phase_portrait(net: Network, amplitudes, n_turns: int, aperture: float = 10e-3,

@@ -16,6 +16,10 @@ monomial `parent[j]` times variable `var[j]`, its last non-zero variable.
 That growth table builds every degree-d block from the degree-(d-1) one by
 a gather and one multiply, both for values (`eval_flat`, at one point or at
 a particles-last batch of points) and for polynomials (`polymap.compose`).
+The per-degree steps (block slice, parent[s], var[s]) are cut once, when the
+basis is built.  The basis of order k is a prefix of every higher-order
+basis in the same variables, so a map whose top degrees are zero is
+evaluated on a lower-order basis at the cost of the degrees it uses.
 """
 
 from __future__ import annotations
@@ -86,6 +90,9 @@ class MonomialBasis:
         self.parent, self.var = np.array(parent), np.array(var)
         for t in (self.parent, self.var):
             t.setflags(write=False)
+        # growth steps, one per degree >= 2: (block slice, parent[s], var[s])
+        self.steps = [(s, self.parent[s], self.var[s])
+                      for s in (slice(a, b) for a, b in zip(self.offsets[2:], ends[2:]))]
         self._product_table: np.ndarray | None = None
         self._product_pairs: tuple | None = None  # (i, j, table[i, j]) where that is >= 0
         self._derivative_table: np.ndarray | None = None
@@ -146,9 +153,8 @@ class MonomialBasis:
         out[0] = 1.0
         if self.max_order:
             out[1:self.n_vars + 1] = x
-        for d in range(2, self.max_order + 1):
-            s = slice(self.offsets[d], self.offsets[d] + self.block_size(d))
-            np.multiply(out[self.parent[s]], x[self.var[s]], out=out[s])
+        for s, parent, var in self.steps:
+            np.multiply(out[parent], x[var], out=out[s])
         return out
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -61,14 +61,10 @@ def measure_with_losses(sim: MachineSim, x0, params=None) -> TrackRecord:
     loss point).  Non-finite readings are invalid themselves.
     """
     rec = simulate_readings(sim, x0, params)
-    lost = False
-    for j in range(len(rec.tap_labels)):
-        finite = np.all(np.isfinite(rec.readings[0, j]))
-        if lost or not finite:
-            rec.valid[0, j] = False
-            lost = True
-        elif np.any(np.abs(rec.readings[0, j]) > sim.aperture):
-            lost = True
+    r = rec.readings[0]
+    hit = ~np.all(np.abs(r) <= sim.aperture, axis=1)  # beyond the aperture or not finite
+    downstream = np.cumsum(hit) > hit  # some BPM strictly upstream was hit
+    rec.valid[0, downstream | ~np.all(np.isfinite(r), axis=1)] = False
     return rec
 
 

@@ -102,7 +102,8 @@ def _layer_input(layer: Layer, x: np.ndarray, params) -> np.ndarray:
 
 
 def _position(x: np.ndarray) -> tuple[float, float]:
-    return (float(x[0]), float(x[2]) if x.shape[0] >= 4 else 0.0)
+    xs = x.tolist()
+    return (xs[0], xs[2] if len(xs) >= 4 else 0.0)
 
 
 def forward(net: Network, x0, params=None):
@@ -114,7 +115,9 @@ def forward(net: Network, x0, params=None):
     x = np.asarray(x0, dtype=np.float64)
     taps = {}
     for layer in net.layers:
-        x = evaluate(layer.map, _layer_input(layer, x, params))
+        if layer.params:
+            x = _layer_input(layer, x, params)
+        x = evaluate(layer.map, x)
         if layer.tap:
             taps[layer.label] = _position(x)
     return x, taps

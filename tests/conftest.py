@@ -33,6 +33,14 @@ m2: monitor;
 cell: sequence, ring=true = (qf, sf, d, b, b, d, m1, qd, sd, d, b, b, d, m2);
 """
 
+# 100 per-element layers, (qf, d, sx, qd) x 25, closed as a ring: 25 of them nonlinear.
+SEXTUPOLE_RING_TEXT = """
+d: drift, l=0.5;
+qf: quadrupole, l=0.5, k1=0.6;
+qd: quadrupole, l=0.5, k1=-0.6;
+sx: sextupole, l=0.2, k2=1.0;
+line: sequence, ring=true = (""" + ", ".join(["qf, d, sx, qd"] * 25) + ");"
+
 # Stable linear FODO ring with one BPM (tune tests).
 LINEAR_RING_TEXT = """
 qf: quadrupole, l=0.5, k1=0.6;
@@ -124,6 +132,14 @@ def random_map(rng, n_in: int, n_out: int | None = None, order: int = 2,
     weights = [scale * rng.standard_normal((n_out, n_monomials(n_in, d)))
                for d in range(order + 1)]
     return TaylorMap(n_in, n_out, order, tuple(weights))
+
+
+def full_evaluate(tmap: TaylorMap, x0) -> np.ndarray:
+    """Evaluation over every monomial of the map's order, zero columns included."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    if x0.shape != (tmap.n_in,):
+        raise ValueError(f"input has shape {x0.shape}, map expects ({tmap.n_in},)")
+    return tmap.flat_coefficients() @ tmap.basis.eval_flat(x0)
 
 
 def weight_block(flat, basis, degree: int) -> np.ndarray:

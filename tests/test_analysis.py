@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
+from polytrack import network
 from polytrack.analysis import (FlatSignalError, fit_conic_residual,
                                 phase_portrait, portrait_csv, ring_tunes,
                                 track_turns, tune_fft, turn_by_turn_state)
 from polytrack.lattice import parse_lattice
-from polytrack.network import Layer, Network, one_turn_map
+from polytrack.network import Layer, Network, forward, one_turn_map
 from polytrack.polymap import TaylorMap
 
-from conftest import LINEAR_RING_TEXT, build, resonant_ring_text
+from conftest import FODO12_TEXT, LINEAR_RING_TEXT, build, full_evaluate, resonant_ring_text
 
 
 def _rotation_net(q, tap=True):
@@ -49,6 +50,47 @@ def test_rotation_tune_q069_folds():
     net = _rotation_net(0.69)
     tunes = ring_tunes(net, amplitude=1e-4, n_turns=1024)
     assert abs(tunes["x"].q - 0.31) <= 1e-3
+
+
+def _reference_turn_by_turn_state(net, x0, n_turns, aperture=10e-3):
+    """The list-append loop with the two-step loss test, as before one loss predicate."""
+    x = np.asarray(x0, dtype=np.float64)
+    out = []
+    for _ in range(n_turns):
+        out.append(x.copy())
+        x, _ = forward(net, x)
+        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > aperture:
+            break
+    return np.array(out)
+
+
+@pytest.mark.parametrize("x0", [[1e-3, 0, 1e-3, 0], [2.4e-3, 0, 0, 0], [2e-2, 0, 0, 0],
+                                [np.nan, 0, 0, 0], [0, np.inf, 0, 0], [0, 0, -np.inf, 0],
+                                [1e200, 0, 0, 0]],
+                         ids=["stable", "lost-turn-3", "outside", "nan", "inf", "-inf", "overflow"])
+def test_turn_by_turn_state_matches_reference_loop(x0):
+    net = build(resonant_ring_text(150.0))
+    with np.errstate(all="ignore"):
+        states = turn_by_turn_state(net, x0, 300)
+        ref = _reference_turn_by_turn_state(net, x0, 300)
+        rec = track_turns(net, x0, 300)
+    assert states.tobytes() == ref.tobytes() and states.shape == ref.shape
+    # track_turns loses the particle on the same turn: its last recorded state
+    assert rec.valid[:, 0, 0].sum() == (300 if len(states) == 300 else len(states) - 1)
+
+
+def test_turn_by_turn_state_no_turns():
+    assert turn_by_turn_state(_rotation_net(0.31), [1e-4, 0, 0, 0], 0).shape == (0, 4)
+
+
+@pytest.mark.parametrize("text", [FODO12_TEXT, resonant_ring_text(20.0)], ids=["fodo12", "resonant"])
+def test_ring_tunes_match_full_basis_evaluation(monkeypatch, text):
+    net = build(text)
+    tunes = ring_tunes(net, amplitude=1e-3, n_turns=1024)
+    monkeypatch.setattr(network, "evaluate", full_evaluate)
+    ref = ring_tunes(net, amplitude=1e-3, n_turns=1024)
+    for plane in ("x", "y"):
+        assert abs(tunes[plane].q - ref[plane].q) <= 1e-12
 
 
 def test_flat_signal_raises():

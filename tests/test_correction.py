@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from polytrack import correction
 from polytrack.correction import (CorrectionResult, InfeasibleCorrection,
                                   MachineSim, correct_orbit, corrector_labels,
                                   get_kicks, measure_with_losses,
                                   response_matrix, set_kicks,
                                   simulate_readings, thread_beam)
-from polytrack.network import forward
+from polytrack.network import TrackRecord, forward
 from polytrack.training import TrainConfig
 
 from conftest import achromat_text, build, transfer_line_text
@@ -125,6 +126,38 @@ def test_measure_with_losses_flags_downstream_only():
     assert valid[:first_bad].all() and not valid[first_bad:].any()
     # the violating reading itself is the last valid one
     assert np.any(np.abs(rec.readings[0, first_bad - 1]) > sim.aperture)
+
+
+def _reference_loss_mask(readings, aperture):
+    """The BPM-by-BPM loop, as before the vectorised first-loss rule."""
+    valid = np.ones(readings.shape, dtype=bool)
+    lost = False
+    for j in range(readings.shape[0]):
+        finite = np.all(np.isfinite(readings[j]))
+        if lost or not finite:
+            valid[j] = False
+            lost = True
+        elif np.any(np.abs(readings[j]) > aperture):
+            lost = True
+    return valid
+
+
+def test_measure_with_losses_matches_bpm_loop(monkeypatch):
+    sim = MachineSim(build(transfer_line_text(), merge="minimal"), aperture=10e-3)
+    labels = sim.network.tap_labels()
+    # in the aperture (the edge included), outside it, and non-finite
+    values = [0.0, 1e-4, -3e-3, 10e-3, -10e-3, 2e-2, -5e-2, np.nan, np.inf, -np.inf]
+    weights = np.array([8, 8, 8, 1, 1, 1, 1, 1, 1, 1], dtype=float)
+    rng = np.random.default_rng(20261018)
+    cases = [np.zeros((len(labels), 2))]
+    cases += [rng.choice(values, size=(len(labels), 2), p=weights / weights.sum())
+              for _ in range(400)]
+    for readings in cases:
+        monkeypatch.setattr(correction, "simulate_readings", lambda *a, r=readings: TrackRecord(
+            labels, r[None].copy(), np.ones((1,) + r.shape, dtype=bool)))
+        rec = measure_with_losses(sim, np.zeros(4))
+        np.testing.assert_array_equal(rec.valid[0], _reference_loss_mask(readings, sim.aperture))
+        np.testing.assert_array_equal(rec.readings[0], readings)
 
 
 def test_result_serialization():

@@ -6,14 +6,16 @@ import json
 import numpy as np
 import pytest
 
+from polytrack import network
 from polytrack.lattice import parse_lattice, plan_segments, split_at_monitors
 from polytrack.network import (MODEL_FORMAT_VERSION, ModelFormatError,
                                ParameterError, TrackRecord, _param_embedding,
                                build_network, forward, forward_batch, load_model,
                                one_turn_map, save_model)
-from polytrack.polymap import TaylorMap
+from polytrack.polymap import ShapeError, TaylorMap
 
-from conftest import FODO12_TEXT, FODO_MONITORED_TEXT, build
+from conftest import (FODO12_TEXT, FODO_MONITORED_TEXT, SEXTUPOLE_RING_TEXT, achromat_text,
+                      build, cell_ring_text, full_evaluate)
 
 
 def test_merge_policies_agree_at_taps(rng):
@@ -65,6 +67,50 @@ def test_batch_forward_matches_singles(rng):
     for i in range(50):
         single, _ = forward(net, x0[i])
         np.testing.assert_allclose(batch[i], single, rtol=0, atol=1e-14)
+
+
+# (network, parameter values) of the lattices that the single-particle path runs on
+NETS = {
+    "fodo12": lambda: (build(FODO12_TEXT), None),
+    "achromat": lambda: (build(achromat_text({i: (-1) ** i * 1e-4 for i in range(1, 11)}),
+                               merge="minimal"), None),
+    "sextupole_ring": lambda: (build(SEXTUPOLE_RING_TEXT), None),
+    "parametric": lambda: (build(cell_ring_text(20, parametric_cell=7), merge="minimal"),
+                           {"qf7": 0.63}),
+}
+
+
+@pytest.mark.parametrize("name", ["sextupole_ring", "parametric"])  # FODO12: the test above
+def test_forward_and_forward_batch_agree(rng, name):
+    net, params = NETS[name]()
+    x0 = rng.uniform(-1e-3, 1e-3, size=(20, 4))
+    batch, batch_taps = forward_batch(net, x0, params)
+    for i in range(20):
+        single, taps = forward(net, x0[i], params)
+        assert np.max(np.abs(batch[i] - single)) <= 1e-14
+        for label, reading in taps.items():
+            assert np.max(np.abs(batch_taps[label][i] - reading)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["fodo12", "achromat", "sextupole_ring", "parametric"])
+def test_forward_matches_full_basis_evaluation(rng, monkeypatch, name):
+    net, params = NETS[name]()
+    x0 = rng.uniform(-1e-3, 1e-3, size=(50, 4))
+    got = [forward(net, x, params) for x in x0]
+    monkeypatch.setattr(network, "evaluate", full_evaluate)
+    for x, (y, taps) in zip(x0, got):
+        ref, ref_taps = forward(net, x, params)
+        assert np.max(np.abs(y - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert taps.keys() == ref_taps.keys()
+        for label, reading in taps.items():
+            assert np.max(np.abs(np.subtract(reading, ref_taps[label]))) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("x0", [np.zeros(3), np.zeros(5), np.zeros((1, 4)), np.zeros((4, 1)),
+                                np.zeros(())], ids=["3", "5", "1x4", "4x1", "scalar"])
+def test_forward_rejects_wrong_shape_state(x0):
+    with pytest.raises(ShapeError):
+        forward(build(FODO12_TEXT), x0)
 
 
 def test_fodo12_has_12_layers():

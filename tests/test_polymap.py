@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytrack.basis import get_basis, n_monomials
-from polytrack.elements import drift_map, parametric_quad_map
+from polytrack.elements import KINDS, ElementSpec, drift_map, element_map, parametric_quad_map
 from polytrack.polymap import (ShapeError, TaylorMap, compose, compose_chain,
                                evaluate, evaluate_batch, jacobian, kron_power)
-from conftest import random_map
+from conftest import full_evaluate, random_map
 
 
 # -- kron_power ------------------------------------------------------------------
@@ -144,6 +144,78 @@ def test_evaluate_matches_reference(rng, n_in, n_out, order):
         x = rng.uniform(-1e-2, 1e-2, n_in)
         ref = _reference_evaluate(m, x)
         assert np.max(np.abs(evaluate(m, x) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _assert_matches_full(m, rng):
+    for _ in range(10):
+        x = rng.uniform(-1e-2, 1e-2, m.n_in)
+        y, ref = evaluate(m, x), full_evaluate(m, x)
+        assert np.max(np.abs(y - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@given(seed=st.integers(0, 10_000), n_in=st.integers(1, 6), order=st.integers(0, 3),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_evaluate_runs_only_up_to_the_top_degree(seed, n_in, order, data):
+    top = data.draw(st.integers(0, order))
+    rng = np.random.default_rng(seed)
+    flat = np.array(random_map(rng, n_in, order=order).flat_coefficients())
+    flat[:, get_basis(n_in, top).size:] = 0.0  # trailing degrees zeroed
+    m = TaylorMap.from_flat(flat, n_in, order)
+    _assert_matches_full(m, rng)
+    basis, coeffs = m._live
+    assert basis is get_basis(n_in, top)
+    assert coeffs.tobytes() == flat[:, :basis.size].tobytes()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_all_zero_map_evaluates_to_zero(rng, order):
+    m = TaylorMap.from_flat(np.zeros((3, get_basis(4, order).size)), 4, order)
+    assert m._live[0].max_order == 0
+    np.testing.assert_array_equal(evaluate(m, rng.uniform(-1, 1, 4)), np.zeros(3))
+    with pytest.raises(ShapeError):
+        evaluate(m, np.zeros(3))
+
+
+_SPECS = [ElementSpec("d", "drift", length=0.6), ElementSpec("q", "quadrupole", 0.5, k1=0.6),
+          ElementSpec("kq", "quadrupole", 0.5, parametric=True),
+          ElementSpec("b", "sbend", 1.0, angle=0.05), ElementSpec("s", "sextupole", 0.2, k2=3.0),
+          ElementSpec("ch", "hcorrector", kick=2e-4), ElementSpec("cv", "vcorrector", kick=-1e-4),
+          ElementSpec("m", "monitor"), ElementSpec("mk", "marker"),
+          ElementSpec("qx", "quadrupole", 0.3, k1=-1.5, dx=1e-4, dy=-2e-4),
+          ElementSpec("sx", "sextupole", 0.2, k2=-3.0, dx=2e-4)]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_every_element_kind_matches_full_evaluation(rng, order):
+    assert {s.kind for s in _SPECS} == set(KINDS)
+    for spec in _SPECS:
+        if spec.parametric and order < 2:
+            continue
+        m = element_map(spec, 4, order)
+        _assert_matches_full(m, rng)
+        top = max(d for d, w in enumerate(m.weights) if w.any())
+        if spec.kind != "sextupole" and not spec.parametric:
+            assert top == 1, spec.name  # a linear element is one affine step
+        assert m._live[0].max_order == top, spec.name
+
+
+@pytest.mark.parametrize("duplicate", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy,
+                                       copy.copy], ids=["pickle", "deepcopy", "copy"])
+def test_copies_rebuild_a_read_only_live_pair(rng, duplicate):
+    flat = np.array(random_map(rng, 4, 4, order=3).flat_coefficients())
+    flat[:, get_basis(4, 1).size:] = 0.0
+    m = TaylorMap.from_flat(flat, 4, 3)
+    x = rng.uniform(-1e-2, 1e-2, 4)
+    y = evaluate(m, x)  # fills the live pair on the original
+    again = duplicate(m)
+    assert "_live" not in vars(again)
+    assert evaluate(again, x).tobytes() == y.tobytes()
+    basis, coeffs = again._live
+    assert basis is get_basis(4, 1) and coeffs is not m._live[1]
+    assert not coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        coeffs[0, 0] = 7.0
 
 
 # -- batch evaluation -------------------------------------------------------------
