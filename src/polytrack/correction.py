@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .network import Network, TrackRecord, forward
-from .polymap import TaylorMap
 from .training import TrainConfig, TrainSample, train
 
 
@@ -80,10 +79,9 @@ def get_kicks(net: Network) -> dict:
 def set_kicks(net: Network, kicks: dict) -> None:
     for layer in net.layers:
         if layer.label in kicks and layer.kind in ("hcorrector", "vcorrector"):
-            m = layer.map
-            w = np.array(m.flat_coefficients())
-            w[layer.kick_row, 0] = kicks[layer.label]
-            layer.map = TaylorMap.from_flat(w, m.n_in, m.order)
+            w0 = np.array(layer.map.flat_coefficients()[:, 0])
+            w0[layer.kick_row] = kicks[layer.label]
+            layer.map = layer.map.with_constant(w0)  # keeps the live pair and the Jacobian
 
 
 @dataclass

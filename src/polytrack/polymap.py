@@ -19,17 +19,21 @@ non-zero coefficient and the matching column prefix of its matrix, and
 then one affine step instead of growing and multiplying zero monomials.
 Lower-order bases are prefixes of the full one, so the result is the full
 product up to rounding; a state whose dropped monomials overflow now gives
-finite values or inf where the zero weights made NaN.  Batch evaluation and
-training keep the full basis: a trainable layer's zero weights still get a
-gradient.
+finite values or inf where the zero weights made NaN.  Batch evaluation
+keeps the full basis.  Training runs its frozen and kick-only layers on
+the live pair too, but a layer trained on every weight on the full basis:
+its zero weights still get a gradient.
 
 A map builds its polynomial Jacobian (one gather-and-scale through the
 basis derivative table) the first time `jacobian` asks for it and keeps it
 as a read-only array; every later `jacobian` call, with or without `wrt`,
 is a slice of it.  Training's adjoint and the symplectic residual share
 that cache, so a frozen layer's Jacobian is built once per map object.
-Pickling or copying a map goes through `from_flat`: the copy is read-only
-and starts with no cached views, live pair or Jacobian.
+Neither the live degrees nor the Jacobian depend on the constant column
+W0, so `with_constant`, the update that moves only W0 (a corrector's
+kick), hands both caches to the new map.  Pickling or copying a map goes
+through `from_flat`: the copy is read-only and starts with no cached
+views, live pair or Jacobian.
 """
 
 from __future__ import annotations
@@ -82,6 +86,10 @@ class TaylorMap:
             raise ShapeError(f"coefficients have shape {flat.shape}, expected (n_out, {size})")
         if not np.all(np.isfinite(flat)):
             raise ValueError("non-finite entries in weights")
+        self._freeze(flat, n_in, order)
+
+    def _freeze(self, flat: np.ndarray, n_in: int, order: int) -> None:
+        """Take ownership of a checked, unaliased flat matrix."""
         flat.setflags(write=False)
         for name, value in (("n_in", n_in), ("n_out", flat.shape[0]), ("order", order),
                             ("_flat", flat)):
@@ -116,9 +124,11 @@ class TaylorMap:
         basis, top = self.basis, self.order
         while top and not self._flat[:, basis.offsets[top]:].any():
             top -= 1
-        if top == self.order:
-            return basis, self._flat
-        live = get_basis(self.n_in, top)
+        return self._live_pair(get_basis(self.n_in, top))
+
+    def _live_pair(self, live: MonomialBasis) -> tuple:
+        if live.size == self._flat.shape[1]:
+            return live, self._flat
         coeffs = np.array(self._flat[:, :live.size])
         coeffs.setflags(write=False)
         return live, coeffs
@@ -151,6 +161,30 @@ class TaylorMap:
 
     def with_weights(self, weights) -> "TaylorMap":
         return TaylorMap(self.n_in, self.n_out, self.order, tuple(weights))
+
+    def with_constant(self, w0) -> "TaylorMap":
+        """The same map with its constant column W0 replaced by `w0`, shape (n_out,).
+
+        Equal to `from_flat` of the changed matrix, but the new map keeps
+        the caches that do not depend on W0: its live degrees and its
+        Jacobian.  A corrector, whose kick is its W0, moves without
+        rebuilding either.
+        """
+        w0 = np.asarray(w0, dtype=np.float64)
+        if w0.shape != (self.n_out,):
+            raise ShapeError(f"constant column has shape {w0.shape}, expected ({self.n_out},)")
+        if not np.all(np.isfinite(w0)):
+            raise ValueError("non-finite entries in weights")
+        flat = np.array(self._flat)
+        flat[:, 0] = w0
+        tmap = TaylorMap.__new__(TaylorMap)
+        tmap._freeze(flat, self.n_in, self.order)
+        cache, new = vars(self), vars(tmap)  # cached_property entries live in __dict__
+        if "_live" in cache:
+            new["_live"] = tmap._live_pair(cache["_live"][0])
+        if "_jacobian" in cache:
+            new["_jacobian"] = cache["_jacobian"]
+        return tmap
 
     def flat_coefficients(self) -> np.ndarray:
         """Read-only (n_out, basis.size) coefficient matrix over the flat basis."""

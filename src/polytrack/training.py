@@ -7,13 +7,24 @@ gradient-norm clipping.
 
 One forward pass runs every sample at once, its state stored
 particles-last as an (n, N) array; samples keep their own injection state,
-parameter values, turn count, taps and mask.  The pass keeps each layer's
-input monomials, and the adjoint goes back through them: per layer one
-weight-gradient product and one Jacobian contraction for all samples.  The
-layer Jacobians come from the maps' own caches (`polymap.jacobian`), so a
-frozen layer's is built once and the trainable layer's once per epoch,
-shared with the symplectic residual.  A masked reading adds exactly
-nothing, even where the model or the file holds a non-finite value.
+parameter values, turn count, taps and mask.  The adjoint goes back through
+that pass: per layer one Jᵀ·adj matmul for all samples and, for a layer
+trained on every weight, one weight-gradient product on its input
+monomials.  A masked reading adds exactly nothing, even where the model or
+the file holds a non-finite value.
+
+What no weight update can change is built once per call of `train`,
+`gradients` or `loss` (`_Batch`): the samples' readings and masks
+scattered onto the network's taps, their states and parameter columns,
+and every frozen layer's Jacobian, cut to the degrees its live pair
+(`TaylorMap._live`) uses, so a linear frozen layer is one affine step
+forward and one matmul back.  A trainable layer whose mask covers only its
+constant column (a corrector) also runs on its live pair and keeps its
+Jacobian and symplectic penalty for the whole call: its kick moves neither.
+Once per epoch `train` rebuilds only what the update changed: the
+fully trained layers' maps, Jacobians (from the maps' own caches,
+`polymap.jacobian`, shared with the symplectic residual) and residuals,
+and, when they are fitted, the states and parameter columns.
 """
 
 from __future__ import annotations
@@ -21,10 +32,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .basis import get_basis
 from .network import Network, TrackRecord, _param_values
 from .polymap import ShapeError, TaylorMap, jacobian
 from .symplectic import _residual, _weight_gradient, symplectic_penalty
@@ -97,37 +109,61 @@ def _trainable_indices(net: Network, config: TrainConfig | None = None) -> list[
 
 
 @dataclass
-class _Pass:
-    """Every sample's forward pass at once, states particles-last.
+class _Batch:
+    """What a `train`, `gradients` or `loss` call needs of its samples, built once per call.
 
     Samples run in `order`, by descending turn count, so the samples still
-    running in turn t are the first `active[t]` columns.  `monos[t][li]` holds
-    every monomial of layer li's input in turn t, `(basis.size, active[t])`,
-    and `dreadings[t]` the loss gradient with respect to the network's tap
-    readings, `(n_taps, 2, active[t])`; both are zero for readings no sample
-    observes.
+    running in turn t are the first `active[t]` columns.  `observed` and
+    `used` hold every sample's readings and mask scattered onto the
+    network's taps, `(n_turns, n_taps, 2, N)`, and `count` the number of
+    readings in play.  `x0` `(n, N)` holds the injection states and
+    `extra[li]` parametric layer li's parameter columns; an epoch of `train`
+    rewrites these two only when it fits the initial state or the
+    parameters.
+
+    `full` lists the trainable layers that run on their full basis, because
+    every weight of theirs gets a gradient; `kicks` the trainable layers
+    whose mask covers only the constant column W0 (correctors), which move
+    neither their live degrees, their Jacobian nor their symplectic residual.
+    Every other layer, frozen or kick-only, runs on its live pair, and
+    `tape[li]` keeps its Jacobian up to its live degree - 1 (`_adjoint_layout`)
+    and `sym[li]` a kick-only layer's penalty, each filled on first use.
     """
 
-    me: float
     order: list
     active: list
-    monos: list
-    dreadings: list
+    turns: list
+    observed: np.ndarray
+    used: np.ndarray
+    count: int
+    x0: np.ndarray
+    extra: dict
+    trainable: list
+    full: set
+    kicks: set
+    tape: dict = field(default_factory=dict)
+    sym: dict = field(default_factory=dict)
+
+    def refresh(self, net: Network, x0s, params) -> None:
+        """Rewrite the injection states and parameter columns, one entry per sample."""
+        for c, si in enumerate(self.order):
+            self.x0[:, c] = x0s[si]
+            for li, cols in self.extra.items():
+                cols[:, c] = _param_values(net.layers[li], params[si])
 
 
-def _forward_pass(net: Network, samples) -> _Pass:
+def _build_batch(net: Network, samples, config: TrainConfig | None) -> _Batch:
     labels = net.tap_labels()
     n = net.state_dim
     turns = [s.observed.n_turns for s in samples]
     order = sorted(range(len(samples)), key=lambda s: -turns[s])
-    samples = [samples[s] for s in order]
     n_turns = max(turns, default=0)
     active = [sum(nt > t for nt in turns) for t in range(n_turns)]
-    # each sample's injection state, and its readings and mask scattered onto the network's taps
     x = np.zeros((n, len(samples)))
     observed = np.zeros((n_turns, len(labels), 2, len(samples)))
     used = np.zeros(observed.shape, dtype=bool)
-    for c, sample in enumerate(samples):
+    for c, si in enumerate(order):
+        sample = samples[si]
         x0 = np.asarray(sample.x0, dtype=np.float64)
         if x0.shape != (n,):
             raise ShapeError(f"x0 has shape {x0.shape}, network expects ({n},)")
@@ -142,44 +178,92 @@ def _forward_pass(net: Network, samples) -> _Pass:
     count = int(used.sum())
     if count == 0:
         raise ValueError("no unmasked readings to train on")
-    extra = {li: np.array([_param_values(layer, s.params) for s in samples], dtype=np.float64).T
+    extra = {li: np.array([_param_values(layer, samples[si].params) for si in order],
+                          dtype=np.float64).T
              for li, layer in enumerate(net.layers) if layer.params}
+    trainable = _trainable_indices(net, config)
+    kicks = {i for i in trainable if not net.layers[i].trainable_mask()[:, 1:].any()}
+    return _Batch(order, active, turns, observed, used, count, x, extra, trainable,
+                  set(trainable) - kicks, kicks)
+
+
+def _adjoint_layout(tmap: TaylorMap, basis) -> tuple[np.ndarray, int]:
+    """Jacobian coefficients on the first P monomials of `basis`, laid out for Jᵀ·adj.
+
+    P counts the monomials below the basis' top degree, the ones the
+    Jacobian of a map on `basis` can use.  The result `jt` is
+    `(n_in, n_out * P)`, so for a particles-last adjoint `a` `(n_out, k)`
+    at inputs with monomials `mono`, Jᵀ·a is `jt @ (a[:, None] * mono[:P])`
+    reshaped to `(n_out * P, k)`, and just `jt @ a` when P is 1 (a linear map).
+    """
+    p = get_basis(tmap.n_in, max(basis.max_order - 1, 0)).size
+    d = jacobian(tmap).coeffs[:, :, :p]
+    return d.transpose(1, 0, 2).reshape(tmap.n_in, -1), p
+
+
+def _tap_rows(n: int) -> tuple[slice, slice]:
+    """(state rows, reading columns) of a tap: x, and y for a 4-D state."""
+    return (slice(0, 3, 2), slice(0, 2)) if n >= 4 else (slice(0, 1), slice(0, 1))
+
+
+@dataclass
+class _Pass:
+    """Every sample's forward pass at once, states particles-last.
+
+    `monos[t][li]` holds the monomials of layer li's input in turn t,
+    `(basis.size, active[t])`, over the full basis for a layer in
+    `batch.full` and over the live one otherwise; `dreadings[t]` the loss
+    gradient with respect to the network's tap readings,
+    `(n_taps, 2, active[t])`, zero for readings no sample observes.
+    """
+
+    me: float
+    monos: list
+    dreadings: list
+
+
+def _forward_pass(net: Network, batch: _Batch) -> _Pass:
+    read, coords = _tap_rows(net.state_dim)
+    n_taps = batch.observed.shape[1]
+    x = batch.x0
     sq_sum = 0.0
     monos, dreadings = [], []
-    for t, k in enumerate(active):
+    for t, k in enumerate(batch.active):
         x = x[:, :k]
         turn_monos = []
-        taps = np.zeros((len(labels), 2, k))
+        taps = np.zeros((n_taps, 2, k))
         tap_i = 0
         for li, layer in enumerate(net.layers):
-            inp = np.concatenate([x, extra[li][:, :k]]) if layer.params else x
-            mono = layer.map.basis.eval_flat(inp)
-            x = layer.map.flat_coefficients() @ mono
+            inp = np.concatenate([x, batch.extra[li][:, :k]]) if layer.params else x
+            if li in batch.full:
+                basis, coeffs = layer.map.basis, layer.map.flat_coefficients()
+            else:
+                basis, coeffs = layer.map._live
+            mono = basis.eval_flat(inp)
+            x = coeffs @ mono
             turn_monos.append(mono)
             if layer.tap:
-                taps[tap_i, 0] = x[0]
-                if n >= 4:
-                    taps[tap_i, 1] = x[2]
+                taps[tap_i, coords] = x[read]
                 tap_i += 1
         # masked readings add exactly nothing, whatever the model or the file holds there
-        err = np.where(used[t, :, :, :k], taps - observed[t, :, :, :k], 0.0)
+        err = np.where(batch.used[t, :, :, :k], taps - batch.observed[t, :, :, :k], 0.0)
         sq_sum += float(np.sum(err ** 2))
         monos.append(turn_monos)
-        dreadings.append(2.0 * err / count)
-    return _Pass(sq_sum / count, order, active, monos, dreadings)
+        dreadings.append(2.0 * err / batch.count)
+    return _Pass(sq_sum / batch.count, monos, dreadings)
 
 
 def loss(net: Network, samples, sym_weight: float = 1.0,
          config: TrainConfig | None = None) -> tuple[float, float, float]:
     """Returns (total, me, sym_penalty_sum)."""
-    me = _forward_pass(net, samples).me
-    s = sum(symplectic_penalty(net.layers[i].map, net.state_dim)
-            for i in _trainable_indices(net, config))
+    batch = _build_batch(net, samples, config)
+    me = _forward_pass(net, batch).me
+    s = sum(symplectic_penalty(net.layers[i].map, net.state_dim) for i in batch.trainable)
     return me + sym_weight * s, me, s
 
 
 def gradients(net: Network, samples, sym_weight: float = 1.0,
-              config: TrainConfig | None = None):
+              config: TrainConfig | None = None, _batch: _Batch | None = None):
     """Exact gradients of the loss.
 
     Returns (grads, x0_grads, param_grads, me, sym) where grads maps a
@@ -189,68 +273,91 @@ def gradients(net: Network, samples, sym_weight: float = 1.0,
     and param_grads is one {name: d loss / d value} dict per sample (populated
     only when fit_parameters is set).
 
-    One forward pass runs all samples together (`_forward_pass`); the
-    adjoint then goes back through it, turn by turn and layer by layer, as
-    one `(n, N)` array.  Per layer it reuses the forward monomials for one
-    weight-gradient product `adj @ mono.T` and one Jacobian contraction over
-    all samples; the layer Jacobians come from each map's cache.
+    The samples' readings, masks, states and parameters are scattered onto
+    the network's taps once per call (`_build_batch`; `train` builds them once
+    and passes them to every epoch as `_batch`).  One forward pass runs
+    all samples together (`_forward_pass`); the adjoint then goes back
+    through it, turn by turn and layer by layer, as one `(n, N)` array.  Per
+    layer it is one Jᵀ·adj matmul over all samples (`_adjoint_layout`),
+    plus, for a layer trained on every weight, one weight-gradient product
+    `adj @ mono.T` on the forward monomials.  A frozen layer's Jacobian
+    layout is built once per batch, over its live degrees only, and so is a
+    kick-only layer's with its symplectic penalty; a fully trained layer's
+    is built each call from its map's cached Jacobian.
     """
-    trainable = _trainable_indices(net, config)
+    batch = _build_batch(net, samples, config) if _batch is None else _batch
     fit_x0 = bool(config and config.fit_initial_condition)
     fit_params = bool(config and config.fit_parameters)
-    fw = _forward_pass(net, samples)
+    fw = _forward_pass(net, batch)
     n = net.state_dim
-    grads = {i: np.zeros_like(net.layers[i].map.flat_coefficients()) for i in trainable}
-    jacs = [jacobian(l.map) for l in net.layers]
+    read, coords = _tap_rows(n)
+    grads = {i: np.zeros_like(net.layers[i].map.flat_coefficients()) for i in batch.trainable}
+    for li, layer in enumerate(net.layers):
+        if li not in batch.full and li not in batch.tape:
+            batch.tape[li] = _adjoint_layout(layer.map, layer.map._live[0])
+    jts = [_adjoint_layout(l.map, l.map.basis) if li in batch.full else batch.tape[li]
+           for li, l in enumerate(net.layers)]
     names = net.param_names()
     rows = [[names.index(p) for p in l.params] for l in net.layers]
-    dparams = np.zeros((len(names), len(samples)))
-    adj = np.zeros((n, len(samples)))
+    n_samples = len(batch.order)
+    dparams = np.zeros((len(names), n_samples))
+    adj = np.zeros((n, n_samples))
 
-    for t in reversed(range(len(fw.active))):
-        k = fw.active[t]
+    for t in reversed(range(len(batch.active))):
+        k = batch.active[t]
         a = adj[:, :k]
-        tap_i = len(fw.dreadings[t])
+        dreadings = fw.dreadings[t]
+        tap_i = len(dreadings)
         for li in reversed(range(len(net.layers))):
             layer = net.layers[li]
             if layer.tap:
                 tap_i -= 1
-                a[0] += fw.dreadings[t][tap_i, 0]
-                if n >= 4:
-                    a[2] += fw.dreadings[t][tap_i, 1]
+                a[read] += dreadings[tap_i, coords]
             mono = fw.monos[t][li]
-            if li in trainable:
+            if li in batch.full:
                 grads[li] += a @ mono.T
-            jac = jacs[li]
-            # every sample's Jacobian at its layer input, then J^T adj per sample
-            jm = jac.coeffs.reshape(-1, jac.basis.size) @ mono[:jac.basis.size]
-            full = np.einsum("iak,ik->ak", jm.reshape(n, jac.n_cols, k), a)
+            elif li in batch.kicks:
+                grads[li][:, 0] += a.sum(axis=1)  # the constant monomial is 1
+            jt, p = jts[li]
+            full = jt @ a if p == 1 else jt @ (a[:, None] * mono[:p]).reshape(-1, k)
             if fit_params and layer.params:
                 dparams[rows[li], :k] += full[n:]
             a = full[:n]
         adj[:, :k] = a
 
-    x0_grads = [np.zeros(n) for _ in samples]
-    param_grads = [{} for _ in samples]
-    for c, si in enumerate(fw.order):
+    x0_grads = [np.zeros(n) for _ in batch.order]
+    param_grads = [{} for _ in batch.order]
+    for c, si in enumerate(batch.order):
         if fit_x0:
             x0_grads[si] = adj[:, c].copy()
-        if fit_params and samples[si].observed.n_turns:
+        if fit_params and batch.turns[si]:
             param_grads[si] = {name: float(dparams[j, c]) for j, name in enumerate(names)}
 
     s = 0.0
-    for i in trainable:
+    for i in batch.trainable:
         tmap = net.layers[i].map
-        residual, jd = _residual(tmap, n)
-        s += float(np.sum(residual.coeffs ** 2))
-        if sym_weight != 0.0:
-            grads[i] += sym_weight * _weight_gradient(tmap, residual, jd)
+        if i in batch.kicks:
+            # W0 moves neither the residual nor the penalty; its gradient on W0 is exactly 0
+            if i not in batch.sym:
+                batch.sym[i] = float(np.sum(_residual(tmap, n)[0].coeffs ** 2))
+            s += batch.sym[i]
+        else:
+            residual, jd = _residual(tmap, n)
+            s += float(np.sum(residual.coeffs ** 2))
+            if sym_weight != 0.0:
+                grads[i] += sym_weight * _weight_gradient(tmap, residual, jd)
         grads[i] *= net.layers[i].trainable_mask()
     return grads, x0_grads, param_grads, fw.me, s
 
 
 def train(net: Network, samples, config: TrainConfig) -> tuple[Network, TrainReport]:
-    """Adam with global-norm gradient clipping; deterministic; leaves `samples` as they are."""
+    """Adam with global-norm gradient clipping; deterministic; leaves `samples` as they are.
+
+    The samples are scattered onto the network once (`_build_batch`); an epoch
+    rewrites only their states and parameter values, and only when it fits
+    them.  A kick-only layer moves through `TaylorMap.with_constant`, so its
+    live pair and Jacobian carry over from epoch to epoch.
+    """
     config.validate()
     net = net.copy()  # maps are immutable; training replaces them on the copy's layers
     samples = list(samples)
@@ -262,11 +369,15 @@ def train(net: Network, samples, config: TrainConfig) -> tuple[Network, TrainRep
         return net, report
     if not trainable and not config.fit_initial_condition and not config.fit_parameters:
         raise ValueError("no trainable layers selected")
+    batch = _build_batch(net, samples, config)
 
     moments = {}
 
     def adam_update(key, theta, g, step):
-        m, v = moments.get(key, (np.zeros_like(theta), np.zeros_like(theta)))
+        if key in moments:
+            m, v = moments[key]
+        else:
+            m, v = np.zeros_like(theta), np.zeros_like(theta)
         m = config.beta1 * m + (1 - config.beta1) * g
         v = config.beta2 * v + (1 - config.beta2) * g * g
         moments[key] = (m, v)
@@ -275,9 +386,8 @@ def train(net: Network, samples, config: TrainConfig) -> tuple[Network, TrainRep
         return theta - config.learning_rate * mhat / (np.sqrt(vhat) + config.epsilon)
 
     for epoch in range(config.epochs):
-        current = [replace(s, x0=x0, params=pv or s.params)
-                   for s, x0, pv in zip(samples, x0s, pvals)]
-        grads, x0_grads, param_grads, me, sym = gradients(net, current, config.sym_weight, config)
+        grads, x0_grads, param_grads, me, sym = gradients(net, samples, config.sym_weight,
+                                                          config, _batch=batch)
         total = me + config.sym_weight * sym
         if not np.isfinite(total):
             raise TrainingDivergence(epoch)
@@ -296,8 +406,12 @@ def train(net: Network, samples, config: TrainConfig) -> tuple[Network, TrainRep
         step = epoch + 1
         for i in trainable:
             m = net.layers[i].map
-            w = adam_update(i, m.flat_coefficients(), scale * grads[i], step)
-            net.layers[i].map = TaylorMap.from_flat(w, m.n_in, m.order)
+            if i in batch.kicks:
+                w0 = adam_update(i, m.flat_coefficients()[:, 0], scale * grads[i][:, 0], step)
+                net.layers[i].map = m.with_constant(w0)
+            else:
+                w = adam_update(i, m.flat_coefficients(), scale * grads[i], step)
+                net.layers[i].map = TaylorMap.from_flat(w, m.n_in, m.order)
         if config.fit_initial_condition:
             for si in range(len(samples)):
                 x0s[si] = adam_update(("x0", si), x0s[si], scale * x0_grads[si], step)
@@ -307,6 +421,8 @@ def train(net: Network, samples, config: TrainConfig) -> tuple[Network, TrainRep
                     new = adam_update(("param", si, name),
                                       np.float64(pvals[si][name]), scale * g, step)
                     pvals[si][name] = float(new)
+        if config.fit_initial_condition or config.fit_parameters:
+            batch.refresh(net, x0s, pvals)
     return net, report
 
 

@@ -420,6 +420,37 @@ def test_from_flat_validates_shape_and_values():
         TaylorMap.from_flat(bad, 2, 2)
 
 
+@pytest.mark.parametrize("top", [1, 2], ids=["live-prefix", "full"])
+def test_constant_column_update_matches_from_flat(rng, top):
+    flat = np.array(random_map(rng, 5, 4, order=2).flat_coefficients())
+    flat[:, get_basis(5, top).size:] = 0.0
+    m = TaylorMap.from_flat(flat, 5, 2)
+    x = rng.uniform(-1e-2, 1e-2, 5)
+    evaluate(m, x), jacobian(m)  # fill the caches the update carries over
+    w0 = rng.standard_normal(4)
+    got = m.with_constant(w0)
+    flat[:, 0] = w0
+    want = TaylorMap.from_flat(flat, 5, 2)
+    assert vars(got)["_jacobian"] is vars(m)["_jacobian"]
+    assert got._live[0] is m._live[0] and not got._live[1].flags.writeable
+    assert not got.flat_coefficients().flags.writeable
+    assert got.flat_coefficients().tobytes() == want.flat_coefficients().tobytes()
+    assert evaluate(got, x).tobytes() == evaluate(want, x).tobytes()
+    assert jacobian(got).coeffs.tobytes() == jacobian(want).coeffs.tobytes()
+    again = pickle.loads(pickle.dumps(got))
+    assert "_jacobian" not in vars(again) and "_live" not in vars(again)
+    assert again.flat_coefficients().tobytes() == want.flat_coefficients().tobytes()
+    assert evaluate(again, x).tobytes() == evaluate(want, x).tobytes()
+    assert jacobian(again).coeffs.tobytes() == jacobian(want).coeffs.tobytes()
+    for bad in (np.zeros(3), np.zeros((4, 1))):
+        with pytest.raises(ShapeError):
+            m.with_constant(bad)
+    bad = np.zeros(4)
+    bad[2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        m.with_constant(bad)
+
+
 def test_compose_dimension_mismatch(rng):
     with pytest.raises(ShapeError):
         compose(random_map(rng, 2, 3, order=2), random_map(rng, 2, 2, order=2))

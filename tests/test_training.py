@@ -1,6 +1,7 @@
 """Training loop: loss definition, exact gradients, Adam convergence."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -472,17 +473,14 @@ def _mixed_samples(net, n_samples=3):
     return samples
 
 
-@pytest.mark.parametrize("n_samples", [1, 3])
-@pytest.mark.parametrize("sym_weight", [0.0, 1.0])
-@pytest.mark.parametrize("fit", [False, True])
-def test_batched_pass_matches_per_sample_reference(n_samples, sym_weight, fit):
+def _assert_matches_reference(trainable, n_samples, sym_weight, fit):
     net = build(MIXED_TEXT)
     samples = _mixed_samples(net, n_samples)
-    cfg = TrainConfig(sym_weight=sym_weight, trainable_labels=["q", "hc", "vc", "sf", "m1"],
+    cfg = TrainConfig(sym_weight=sym_weight, trainable_labels=trainable,
                       fit_initial_condition=fit, fit_parameters=fit)
     got = gradients(net, samples, sym_weight, cfg)
     want = _reference_gradients(net, samples, sym_weight, cfg)
-    assert sorted(got[0]) == sorted(want[0]) and len(got[0]) == 5
+    assert sorted(got[0]) == sorted(want[0]) and len(got[0]) == len(trainable)
     for i in want[0]:
         assert _close(got[0][i], want[0][i]), net.layers[i].label
     for g, w in zip(got[1], want[1]):
@@ -495,6 +493,110 @@ def test_batched_pass_matches_per_sample_reference(n_samples, sym_weight, fit):
     total, me, sym = loss(net, samples, sym_weight, cfg)
     assert _close(me, want[3]) and sym == want[4]
     assert _close(total, want[3] + sym_weight * want[4])
+
+
+@pytest.mark.parametrize("n_samples", [1, 3])
+@pytest.mark.parametrize("sym_weight", [0.0, 1.0])
+@pytest.mark.parametrize("fit", [False, True])
+def test_batched_pass_matches_per_sample_reference(n_samples, sym_weight, fit):
+    _assert_matches_reference(["q", "hc", "vc", "sf", "m1"], n_samples, sym_weight, fit)
+
+
+@pytest.mark.parametrize("trainable", [["m1"], ["hc", "vc"]], ids=["m1", "kicks"])
+@pytest.mark.parametrize("fit", [False, True])
+def test_frozen_paths_match_per_sample_reference(trainable, fit):
+    """The parametric q and the degree-2 sf stay frozen and run on their live degrees."""
+    _assert_matches_reference(trainable, 3, 1.0, fit)
+
+
+def _epoch_loop_reference(net, samples, config):
+    """`train` as an epoch loop over the public `gradients` on freshly replaced samples."""
+    net = net.copy()
+    trainable = training._trainable_indices(net, config)
+    x0s = [np.array(s.x0, dtype=np.float64) for s in samples]
+    pvals = [dict(s.params) for s in samples]
+    moments = {}
+
+    def adam_update(key, theta, g, step):
+        m, v = moments.get(key, (np.zeros_like(theta), np.zeros_like(theta)))
+        m = config.beta1 * m + (1 - config.beta1) * g
+        v = config.beta2 * v + (1 - config.beta2) * g * g
+        moments[key] = (m, v)
+        mhat = m / (1 - config.beta1 ** step)
+        vhat = v / (1 - config.beta2 ** step)
+        return theta - config.learning_rate * mhat / (np.sqrt(vhat) + config.epsilon)
+
+    for epoch in range(config.epochs):
+        current = [replace(s, x0=x0, params=dict(pv)) for s, x0, pv in zip(samples, x0s, pvals)]
+        grads, x0_grads, param_grads, _, _ = gradients(net, current, config.sym_weight, config)
+        gnorm = np.sqrt(sum(float(np.sum(g ** 2)) for g in grads.values())
+                        + sum(float(np.sum(g ** 2)) for g in x0_grads)
+                        + sum(g * g for pg in param_grads for g in pg.values()))
+        scale = min(1.0, config.clip_norm / gnorm) if gnorm > 0 else 1.0
+        for i in trainable:
+            m = net.layers[i].map
+            w = adam_update(i, np.array(m.flat_coefficients()), scale * grads[i], epoch + 1)
+            net.layers[i].map = polymap.TaylorMap.from_flat(w, m.n_in, m.order)
+        for si in range(len(samples)):
+            x0s[si] = adam_update(("x0", si), x0s[si], scale * x0_grads[si], epoch + 1)
+            for name, g in param_grads[si].items():
+                pvals[si][name] = float(adam_update(("param", si, name),
+                                                    np.float64(pvals[si][name]), scale * g,
+                                                    epoch + 1))
+    return net, x0s, pvals
+
+
+def test_train_refreshes_states_and_parameters_every_epoch():
+    net = build(MIXED_TEXT)
+    samples = _mixed_samples(net)
+    before = [(s.x0.copy(), dict(s.params), s.observed.readings.copy(), s.mask.copy())
+              for s in samples]
+    cfg = TrainConfig(epochs=6, learning_rate=1e-4, clip_norm=1e-2, sym_weight=1.0,
+                      trainable_labels=["sf", "hc"], fit_initial_condition=True,
+                      fit_parameters=True)
+    trained, report = train(net, samples, cfg)
+    ref_net, ref_x0s, ref_params = _epoch_loop_reference(net, samples, cfg)
+    for layer, got, want in zip(net.layers, trained.layers, ref_net.layers):
+        assert _close(got.map.flat_coefficients(), want.map.flat_coefficients()), layer.label
+    for got, want, (x0, params, _, _) in zip(report.x0, ref_x0s, before):
+        assert _close(got, want) and not np.array_equal(got, x0)
+    for got, want, (_, params, _, _) in zip(report.params, ref_params, before):
+        assert _close(got["q"], want["q"]) and got["q"] != params["q"]
+    for s, (x0, params, readings, mask) in zip(samples, before):
+        assert np.array_equal(s.x0, x0) and s.params == params
+        assert np.array_equal(s.observed.readings, readings) and np.array_equal(s.mask, mask)
+
+
+def test_kick_only_layers_build_their_caches_once_per_call(monkeypatch):
+    net = build(achromat_text({}), merge="minimal")
+    machine = build(achromat_text({i: 5e-5 * (-1) ** i for i in range(1, 11)}), merge="minimal")
+    sample = TrainSample(np.zeros(4), track_turns(machine, np.zeros(4), 1, aperture=1e9))
+    names = [f"c{i}" for i in range(1, 11)]
+    jacobians, residuals = [], []
+    original_jacobian, original_residual = polymap._jacobian_coeffs, symplectic._residual
+
+    def counted_jacobian(tmap):
+        jacobians.append(tmap)
+        return original_jacobian(tmap)
+
+    def counted_residual(tmap, phase_dim):
+        residuals.append(tmap)
+        return original_residual(tmap, phase_dim)
+
+    monkeypatch.setattr(polymap, "_jacobian_coeffs", counted_jacobian)
+    monkeypatch.setattr(symplectic, "_residual", counted_residual)
+    monkeypatch.setattr(training, "_residual", counted_residual)
+    cfg = TrainConfig(epochs=8, learning_rate=1e-5, sym_weight=1.0, trainable_labels=names)
+    trained, _ = train(net, [sample], cfg)
+    correctors = {id(l.map) for l in net.layers if l.label in names}
+    assert len(jacobians) == len(net.layers)  # every map once, each corrector's first one only
+    assert correctors <= {id(m) for m in jacobians}
+    assert sorted(id(m) for m in residuals) == sorted(correctors)
+    moved = get_kicks(trained)
+    assert all(moved[n] != 0.0 for n in names)
+    # a second call reuses every map's Jacobian and builds each corrector's residual once
+    train(net, [sample], cfg)
+    assert len(jacobians) == len(net.layers) and len(residuals) == 2 * len(names)
 
 
 def test_adam_correction_sample_matches_per_sample_reference():
