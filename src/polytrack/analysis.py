@@ -1,4 +1,10 @@
-"""Multi-turn tracking, phase portraits, and betatron tune extraction."""
+"""Multi-turn tracking, phase portraits, and betatron tune extraction.
+
+`track_turns` and `turn_by_turn_state` (and through it `phase_portrait`
+and `ring_tunes`) run one loop, `_track`: it plans the network's
+single-particle pass once (`network._Pass`), runs it every turn, applies
+the end-of-turn loss check `_lost`, and reads the taps from the pass.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Network, TrackRecord, forward
+from .network import Network, TrackRecord, _Pass
 
 
 class FlatSignalError(ValueError):
@@ -19,6 +25,31 @@ def _lost(x: np.ndarray, aperture: float) -> bool:
     return not np.abs(x).max() <= aperture
 
 
+def _track(net: Network, x0, n_turns: int, aperture: float, params,
+           states=None, readings=None) -> int:
+    """Track one particle for up to `n_turns` turns; returns the turn it was lost on, or `n_turns`.
+
+    `states[t]` gets the state at the start of turn t, up to the turn of
+    the loss; `readings[t]` gets the taps' (x, y) of each turn the particle
+    survives.  Either may be None.
+    """
+    if n_turns < 0:
+        raise ValueError("n_turns must be >= 0")
+    plan = _Pass(net, params)
+    plan.load(x0)
+    for t in range(n_turns):
+        if states is not None:
+            states[t] = plan.state_in
+        plan.run()
+        if _lost(plan.state_out, aperture):
+            return t
+        if readings is not None:
+            for j, reading in enumerate(plan.readings()):
+                readings[t, j] = reading
+        plan.state_in[:] = plan.state_out
+    return n_turns
+
+
 def track_turns(net: Network, x0, n_turns: int, aperture: float = 10e-3,
                 params=None) -> TrackRecord:
     """Repeat the one-turn forward pass, recording taps each turn.
@@ -27,21 +58,9 @@ def track_turns(net: Network, x0, n_turns: int, aperture: float = 10e-3,
     exceeds the aperture or stops being finite; readings from then on are
     flagged invalid.
     """
-    if n_turns < 0:
-        raise ValueError("n_turns must be >= 0")
-    labels = net.tap_labels()
-    rec = TrackRecord.empty(labels, n_turns)
-    x = np.asarray(x0, dtype=np.float64)
-    lost = False
-    for t in range(n_turns):
-        if not lost:
-            x, taps = forward(net, x, params)
-            lost = _lost(x, aperture)
-        if lost:
-            rec.valid[t] = False
-            continue
-        for j, label in enumerate(labels):
-            rec.readings[t, j] = taps[label]
+    rec = TrackRecord.empty(net.tap_labels(), max(n_turns, 0))
+    lost = _track(net, x0, n_turns, aperture, params, readings=rec.readings)
+    rec.valid[lost:] = False
     return rec
 
 
@@ -51,14 +70,9 @@ def turn_by_turn_state(net: Network, x0, n_turns: int, aperture: float = 10e-3,
 
     The turn on which the particle is lost is the last row.
     """
-    x = np.asarray(x0, dtype=np.float64)
-    out = np.empty((max(n_turns, 0),) + x.shape)
-    for t in range(n_turns):
-        out[t] = x
-        x, _ = forward(net, x, params)
-        if _lost(x, aperture):
-            return out[:t + 1]
-    return out
+    states = np.empty((max(n_turns, 0), net.state_dim))
+    lost = _track(net, x0, n_turns, aperture, params, states=states)
+    return states[:lost + 1]
 
 
 def phase_portrait(net: Network, amplitudes, n_turns: int, aperture: float = 10e-3,

@@ -14,12 +14,17 @@ index of degree d.
 Each monomial of degree >= 1 grows from one of the degree below: it is
 monomial `parent[j]` times variable `var[j]`, its last non-zero variable.
 That growth table builds every degree-d block from the degree-(d-1) one by
-a gather and one multiply, both for values (`eval_flat`, at one point or at
-a particles-last batch of points) and for polynomials (`polymap.compose`).
-The per-degree steps (block slice, parent[s], var[s]) are cut once, when the
-basis is built.  The basis of order k is a prefix of every higher-order
-basis in the same variables, so a map whose top degrees are zero is
-evaluated on a lower-order basis at the cost of the degrees it uses.
+a gather and one multiply, both for values and for polynomials
+(`polymap.compose`).  The per-degree steps (block slice, parent[s],
+1 + var[s]) are cut once, when the basis is built; variable v sits in slot
+1 + v of a monomial vector, so `grow` fills a vector in place from its
+degree-1 slots.  `eval_flat` (at one point or at a particles-last batch of
+points) and the network's single-particle pass (`network._Pass`, whose
+layers write their outputs into the degree-1 slots of the next layer's
+vector) both grow their values with it.  The basis of order k is a prefix
+of every higher-order basis in the same variables, so a map whose top
+degrees are zero is evaluated on a lower-order basis at the cost of the
+degrees it uses.
 """
 
 from __future__ import annotations
@@ -90,8 +95,9 @@ class MonomialBasis:
         self.parent, self.var = np.array(parent), np.array(var)
         for t in (self.parent, self.var):
             t.setflags(write=False)
-        # growth steps, one per degree >= 2: (block slice, parent[s], var[s])
-        self.steps = [(s, self.parent[s], self.var[s])
+        # growth steps, one per degree >= 2: (block slice, parent[s], 1 + var[s]);
+        # 1 + var[s] indexes the variables in a monomial vector's degree-1 slots
+        self.steps = [(s, self.parent[s], 1 + self.var[s])
                       for s in (slice(a, b) for a, b in zip(self.offsets[2:], ends[2:]))]
         self._product_table: np.ndarray | None = None
         self._product_pairs: tuple | None = None  # (i, j, table[i, j]) where that is >= 0
@@ -153,9 +159,17 @@ class MonomialBasis:
         out[0] = 1.0
         if self.max_order:
             out[1:self.n_vars + 1] = x
-        for s, parent, var in self.steps:
-            np.multiply(out[parent], x[var], out=out[s])
+        self.grow(out)
         return out
+
+    def grow(self, mono: np.ndarray) -> None:
+        """Fill degrees >= 2 of a monomial vector, in place, from its degree-1 slots.
+
+        `mono` is `(size,)` or `(size, N)` with the variables in
+        `mono[1:n_vars + 1]`; slot 0 (the constant) is not read.
+        """
+        for s, parent, var in self.steps:
+            np.multiply(mono[parent], mono[var], out=mono[s])
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Truncated product of flat coefficient vectors; `a` and `b` are `(..., size)` rows."""

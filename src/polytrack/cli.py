@@ -17,7 +17,7 @@ import numpy as np
 from . import analysis, correction, kernels, lattice, network, training
 from .elements import DivergenceError, ElementError
 from .lattice import LatticeError
-from .network import ModelFormatError
+from .network import ModelFormatError, ParameterError
 from .training import TrainingDivergence
 
 EXIT_INPUT = 2
@@ -70,6 +70,33 @@ def _parse_params(pairs) -> dict | None:
     return out
 
 
+def _tracked(run, *args, **kwargs):
+    """Call a tracker; a negative turn count or a missing --param is an input error."""
+    try:
+        return run(*args, **kwargs)
+    except ParameterError as exc:
+        raise CliError(f"{exc.args[0]} (bind it with --param name=value)")
+    except ValueError as exc:  # n_turns < 0
+        raise CliError(str(exc))
+
+
+def _misalignments(misalign, definitions) -> dict:
+    """Validated scenario `misalign`: element name -> (dx, dy) of finite numbers."""
+    if not isinstance(misalign, dict):
+        raise CliError("scenario 'misalign' must map element names to [dx, dy] pairs")
+    out = {}
+    for name, offset in misalign.items():
+        if name not in definitions:
+            raise CliError(f"scenario 'misalign' names '{name}', which the lattice does not define")
+        if not (isinstance(offset, list) and len(offset) == 2
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                        and np.isfinite(v) for v in offset)):
+            raise CliError(f"scenario 'misalign' entry '{name}' must be a [dx, dy] pair of "
+                           f"finite numbers, got {offset!r}")
+        out[name] = tuple(float(v) for v in offset)
+    return out
+
+
 def cmd_build(args) -> int:
     try:
         doc = lattice.parse_lattice(_read(args.lattice))
@@ -93,8 +120,8 @@ def cmd_track(args) -> int:
     x0 = _parse_vec(args.x0)
     if x0.size != net.state_dim:
         raise CliError(f"--x0 has {x0.size} entries, model expects {net.state_dim}")
-    rec = analysis.track_turns(net, x0, args.turns, aperture=args.aperture,
-                               params=_parse_params(args.param))
+    rec = _tracked(analysis.track_turns, net, x0, args.turns, aperture=args.aperture,
+                   params=_parse_params(args.param))
     Path(args.output).write_text(rec.to_csv())
     print(f"{args.turns} turns x {len(rec.tap_labels)} taps -> {args.output}")
     return 0
@@ -103,8 +130,8 @@ def cmd_track(args) -> int:
 def cmd_portrait(args) -> int:
     net = _load_net(args.model)
     amps = _parse_vec(args.amplitudes, "--amplitudes")
-    pts = analysis.phase_portrait(net, amps, args.turns, aperture=args.aperture,
-                                  params=_parse_params(args.param))
+    pts = _tracked(analysis.phase_portrait, net, amps, args.turns, aperture=args.aperture,
+                   params=_parse_params(args.param))
     Path(args.output).write_text(analysis.portrait_csv(pts))
     if args.gnuplot_hints:
         print(f"# gnuplot:\nset datafile separator ','\n"
@@ -189,6 +216,8 @@ def cmd_thread(args) -> int:
         scenario = json.loads(_read(args.scenario))
     except json.JSONDecodeError as exc:
         raise CliError(f"{args.scenario}: {exc}")
+    if not isinstance(scenario, dict):
+        raise CliError(f"{args.scenario}: a scenario must be a JSON object")
     try:
         doc = lattice.parse_lattice(_read(scenario["lattice"]))
         doc = lattice.split_at_monitors(doc)
@@ -202,7 +231,7 @@ def cmd_thread(args) -> int:
 
     rng = np.random.default_rng(scenario.get("seed", args.seed))
     err_doc = lattice.parse_lattice(lattice.serialize_lattice(doc))
-    for name, (dx, dy) in scenario.get("misalign", {}).items():
+    for name, (dx, dy) in _misalignments(scenario.get("misalign", {}), err_doc.definitions).items():
         err_doc.definitions[name].dx = dx
         err_doc.definitions[name].dy = dy
     sigma = scenario.get("misalign_sigma", 0.0)

@@ -1,4 +1,12 @@
-"""Layered polynomial-map network with BPM taps and parameter bindings."""
+"""Layered polynomial-map network with BPM taps and parameter bindings.
+
+`forward` sends one state through the layers on a pass plan (`_Pass`):
+each layer owns one monomial vector over its live basis, with its
+constant and bound parameter values written once, and each layer's output
+is written straight into the state slots of the next layer's vector.  The
+multi-turn trackers in `analysis` build the plan once and run it every
+turn.  `forward_batch` runs the layers on a batch of states.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +20,7 @@ import numpy as np
 from . import elements as elem
 from .basis import ORDERING_TAG
 from .lattice import LatticeDoc, SegmentPlan, plan_segments
-from .polymap import TaylorMap, compose, compose_chain, evaluate, evaluate_batch
+from .polymap import ShapeError, TaylorMap, compose, compose_chain, evaluate_batch
 
 MODEL_FORMAT_VERSION = 1
 
@@ -95,32 +103,76 @@ def _param_values(layer: Layer, params) -> list:
         raise ParameterError(f"missing parameter value for {exc.args[0]!r}") from None
 
 
-def _layer_input(layer: Layer, x: np.ndarray, params) -> np.ndarray:
-    if not layer.params:
-        return x
-    return np.concatenate([x, np.asarray(_param_values(layer, params), dtype=np.float64)])
-
-
 def _position(x: np.ndarray) -> tuple[float, float]:
     xs = x.tolist()
     return (xs[0], xs[2] if len(xs) >= 4 else 0.0)
+
+
+class _Pass:
+    """A plan for sending one state through every layer, built once and run any number of times.
+
+    Each layer gets one monomial vector sized to its live basis
+    (`TaylorMap._live`), and never shorter than its constant and input
+    slots.  The constant 1 and the values `params` binds to the layer's
+    parameter inputs are written once, here, so a missing parameter raises
+    `ParameterError` before any layer runs.  `run` grows each vector in
+    place (`MonomialBasis.grow`, for layers of live degree >= 2) and writes
+    the layer's output with one `coeffs.dot(mono, out=...)` straight into
+    the state slots of the next layer's vector; the last layer writes into
+    `state_out`, which is not `state_in`, so a one-layer ring never reads
+    what it writes.  The values and the arithmetic are those of `evaluate`
+    layer by layer.
+    """
+
+    def __init__(self, net: Network, params=None):
+        n = net.state_dim
+        self.state_out = out = np.empty(n)
+        self.layers, self.taps = [], []  # taps: outputs of the tapped layers
+        for layer in reversed(net.layers):  # each layer's output is the next one's input slots
+            tmap = layer.map
+            basis, coeffs = tmap._live
+            mono = np.empty(max(basis.size, 1 + tmap.n_in))
+            mono[0] = 1.0
+            if layer.params:
+                mono[1 + n:1 + tmap.n_in] = _param_values(layer, params)
+            grow = basis.grow if basis.max_order >= 2 else None
+            self.layers.append((grow, coeffs, mono[:basis.size], out))
+            if layer.tap:
+                self.taps.append(out)
+            out = mono[1:1 + n]
+        self.layers.reverse()
+        self.taps.reverse()
+        self.state_in = out  # the first layer's state slots
+
+    def load(self, x0) -> None:
+        """Copy a state into the first layer's slots."""
+        x0 = np.asarray(x0, dtype=np.float64)
+        if x0.shape != self.state_in.shape:
+            raise ShapeError(f"input has shape {x0.shape}, network expects {self.state_in.shape}")
+        self.state_in[:] = x0
+
+    def run(self) -> None:
+        """One pass from `state_in` to `state_out`; each tap's output stays readable until the next."""
+        for grow, coeffs, mono, out in self.layers:
+            if grow is not None:
+                grow(mono)
+            coeffs.dot(mono, out=out)  # the product of evaluate, written in place
+
+    def readings(self) -> list:
+        """(x, y) at each tap after the last `run`, in tap order."""
+        return [_position(out) for out in self.taps]
 
 
 def forward(net: Network, x0, params=None):
     """Propagate one state through all layers.
 
     Returns (final state, taps) where taps maps each tap label to its (x, y)
-    reading.
+    reading.  The state is a new array; `x0` is only read.
     """
-    x = np.asarray(x0, dtype=np.float64)
-    taps = {}
-    for layer in net.layers:
-        if layer.params:
-            x = _layer_input(layer, x, params)
-        x = evaluate(layer.map, x)
-        if layer.tap:
-            taps[layer.label] = _position(x)
-    return x, taps
+    plan = _Pass(net, params)
+    plan.load(x0)
+    plan.run()
+    return plan.state_out, dict(zip(net.tap_labels(), plan.readings()))
 
 
 def forward_batch(net: Network, x0s, params=None):

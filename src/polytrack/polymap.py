@@ -15,8 +15,10 @@ the middle variables as a polynomial in the inputs with one row-wise
 Evaluation at one point costs only the degrees a map uses.  On first use a
 map keeps a read-only "live" pair: the basis up to its highest degree with a
 non-zero coefficient and the matching column prefix of its matrix, and
-`evaluate` is `live_coeffs @ live_basis.eval_flat(x)`.  A linear element is
-then one affine step instead of growing and multiplying zero monomials.
+`evaluate` is `live_coeffs @ live_basis.eval_flat(x)`; the network's
+single-particle pass (`network._Pass`) sizes each layer's monomial vector
+by the same pair.  A linear element is then one affine step instead of
+growing and multiplying zero monomials.
 Lower-order bases are prefixes of the full one, so the result is the full
 product up to rounding; a state whose dropped monomials overflow now gives
 finite values or inf where the zero weights made NaN.  Batch evaluation
@@ -239,8 +241,8 @@ def compose(first: TaylorMap, second: TaylorMap) -> TaylorMap:
     p[0, 0] = 1.0
     if k:
         p[1:mid.n_vars + 1] = first._flat
-    for s, parent, var in mid.steps:
-        p[s] = basis.multiply(p[1 + var], p[parent])
+    for s, parent, var in mid.steps:  # var: row of the variable in p, 1 + its index
+        p[s] = basis.multiply(p[var], p[parent])
     return TaylorMap.from_flat(second._flat @ p, first.n_in, k)
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from polytrack.lattice import parse_lattice, split_at_monitors
-from polytrack.network import build_network
-from polytrack.polymap import TaylorMap
+from polytrack.network import _param_values, build_network
+from polytrack.polymap import TaylorMap, evaluate
 from polytrack.basis import n_monomials
 
 # The 12-element FODO cell: 8 magnets (2 quadrupoles, 2 sextupoles, 4 bends)
@@ -140,6 +140,28 @@ def full_evaluate(tmap: TaylorMap, x0) -> np.ndarray:
     if x0.shape != (tmap.n_in,):
         raise ValueError(f"input has shape {x0.shape}, map expects ({tmap.n_in},)")
     return tmap.flat_coefficients() @ tmap.basis.eval_flat(x0)
+
+
+def layer_input(layer, x: np.ndarray, params) -> np.ndarray:
+    """The state with the layer's bound parameter values appended, as the layer reads it."""
+    if not layer.params:
+        return x
+    return np.concatenate([x, np.asarray(_param_values(layer, params), dtype=np.float64)])
+
+
+def reference_forward(net, x0, params=None, evaluate=evaluate):
+    """The per-layer loop `forward` ran before the pass plan: append, evaluate, read taps.
+
+    Pass `evaluate=full_evaluate` to evaluate every layer on its full basis.
+    """
+    x = np.asarray(x0, dtype=np.float64)
+    taps = {}
+    for layer in net.layers:
+        x = evaluate(layer.map, layer_input(layer, x, params))
+        if layer.tap:
+            xs = x.tolist()
+            taps[layer.label] = (xs[0], xs[2] if len(xs) >= 4 else 0.0)
+    return x, taps
 
 
 def weight_block(flat, basis, degree: int) -> np.ndarray:

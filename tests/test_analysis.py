@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from polytrack import network
 from polytrack.analysis import (FlatSignalError, fit_conic_residual,
                                 phase_portrait, portrait_csv, ring_tunes,
                                 track_turns, tune_fft, turn_by_turn_state)
 from polytrack.lattice import parse_lattice
-from polytrack.network import Layer, Network, forward, one_turn_map
-from polytrack.polymap import TaylorMap
+from polytrack.network import Layer, Network, ParameterError, forward, one_turn_map
+from polytrack.polymap import TaylorMap, evaluate
 
-from conftest import FODO12_TEXT, LINEAR_RING_TEXT, build, full_evaluate, resonant_ring_text
+from conftest import (FODO12_TEXT, FODO_MONITORED_TEXT, LINEAR_RING_TEXT, build, cell_ring_text,
+                      full_evaluate, reference_forward, resonant_ring_text)
 
 
 def _rotation_net(q, tap=True):
@@ -83,14 +83,112 @@ def test_turn_by_turn_state_no_turns():
     assert turn_by_turn_state(_rotation_net(0.31), [1e-4, 0, 0, 0], 0).shape == (0, 4)
 
 
+def _reference_states(net, x0, n_turns, params=None, evaluate=evaluate, aperture=10e-3):
+    """turn_by_turn_state as a turn loop over the per-layer loop (`reference_forward`)."""
+    x = np.asarray(x0, dtype=np.float64)
+    out = np.empty((n_turns, x.size))
+    for t in range(n_turns):
+        out[t] = x
+        x, _ = reference_forward(net, x, params, evaluate)
+        if not np.abs(x).max() <= aperture:
+            return out[:t + 1]
+    return out
+
+
+def _reference_track_turns(net, x0, n_turns, params=None, aperture=10e-3):
+    """track_turns as a turn loop over the per-layer loop (`reference_forward`)."""
+    labels = net.tap_labels()
+    readings = np.zeros((n_turns, len(labels), 2))
+    valid = np.ones((n_turns, len(labels), 2), dtype=bool)
+    x = np.asarray(x0, dtype=np.float64)
+    lost = False
+    for t in range(n_turns):
+        if not lost:
+            x, taps = reference_forward(net, x, params)
+            lost = not np.abs(x).max() <= aperture
+        if lost:
+            valid[t] = False
+            continue
+        for j, label in enumerate(labels):
+            readings[t, j] = taps[label]
+    return readings, valid
+
+
+# (network, parameters, initial states) for the multi-turn trackers; some particles are lost
+TRACKED = {
+    "resonant": (lambda: build(resonant_ring_text(150.0)), None,
+                 [[1e-3, 0, 1e-3, 0], [2.4e-3, 0, 0, 0], [2e-2, 0, 0, 0], [np.nan, 0, 0, 0]]),
+    "monitored": (lambda: build(FODO_MONITORED_TEXT, merge="minimal"), None,
+                  [[1e-3, 2e-4, -1e-3, 0], [4e-3, 0, 4e-3, 0]]),
+    "parametric": (lambda: build(cell_ring_text(20, parametric_cell=7), merge="minimal"),
+                   {"qf7": 0.63}, [[1e-3, 0, 1e-3, 0], [9e-3, 0, 0, 0]]),
+    "one_layer": (lambda: _rotation_net(0.31), None, [[1e-3, 0, 2e-3, 1e-4]]),
+    "no_taps": (lambda: build(FODO12_TEXT), None, [[1e-3, 0, 1e-3, 0]]),
+}
+
+
+@pytest.mark.parametrize("name", list(TRACKED))
+def test_trackers_bit_equal_to_per_layer_loop(name):
+    make, params, starts = TRACKED[name]
+    net = make()
+    with np.errstate(all="ignore"):
+        for x0 in starts:
+            states = turn_by_turn_state(net, x0, 200, params=params)
+            ref = _reference_states(net, x0, 200, params)
+            assert states.tobytes() == ref.tobytes() and states.shape == ref.shape
+            rec = track_turns(net, x0, 200, params=params)
+            readings, valid = _reference_track_turns(net, x0, 200, params)
+            assert rec.readings.tobytes() == readings.tobytes()
+            assert rec.valid.tobytes() == valid.tobytes()
+
+
 @pytest.mark.parametrize("text", [FODO12_TEXT, resonant_ring_text(20.0)], ids=["fodo12", "resonant"])
-def test_ring_tunes_match_full_basis_evaluation(monkeypatch, text):
+def test_ring_tunes_bit_equal_to_per_layer_loop(text):
+    net = build(text)
+    tunes = ring_tunes(net, amplitude=1e-3, n_turns=256)
+    states = _reference_states(net, [1e-3, 0, 1e-3, 0], 256)
+    for plane, col in (("x", 0), ("y", 2)):
+        assert tunes[plane] == tune_fft(states[:, col])
+
+
+@pytest.mark.parametrize("text", [FODO12_TEXT, resonant_ring_text(20.0)], ids=["fodo12", "resonant"])
+def test_ring_tunes_match_full_basis_evaluation(text):
     net = build(text)
     tunes = ring_tunes(net, amplitude=1e-3, n_turns=1024)
-    monkeypatch.setattr(network, "evaluate", full_evaluate)
-    ref = ring_tunes(net, amplitude=1e-3, n_turns=1024)
-    for plane in ("x", "y"):
-        assert abs(tunes[plane].q - ref[plane].q) <= 1e-12
+    states = _reference_states(net, [1e-3, 0, 1e-3, 0], 1024, evaluate=full_evaluate)
+    assert states.shape[0] >= 64  # enough turns for a tune
+    for plane, col in (("x", 0), ("y", 2)):
+        assert abs(tunes[plane].q - tune_fft(states[:, col]).q) <= 1e-12
+
+
+def test_trackers_leave_inputs_and_later_calls_alone():
+    net = build(resonant_ring_text(20.0))
+    x0 = np.array([1e-3, 0, 1e-3, 0])
+    states, rec = turn_by_turn_state(net, x0, 100), track_turns(net, x0, 100)
+    want = states.tobytes(), rec.readings.tobytes()
+    assert x0.tolist() == [1e-3, 0, 1e-3, 0]
+    states[:] = 1.0  # the returned arrays are the caller's
+    rec.readings[:] = 1.0
+    assert (turn_by_turn_state(net, x0, 100).tobytes(),
+            track_turns(net, x0, 100).readings.tobytes()) == want
+
+
+def test_negative_turns_rejected_everywhere():
+    net = _rotation_net(0.31)
+    x0 = [1e-3, 0, 0, 0]
+    for call in (lambda: track_turns(net, x0, -1), lambda: turn_by_turn_state(net, x0, -1),
+                 lambda: phase_portrait(net, [1e-3], -3), lambda: ring_tunes(net, 1e-3, -1)):
+        with pytest.raises(ValueError, match="n_turns"):
+            call()
+
+
+def test_missing_parameter_raises_before_tracking():
+    net = build(cell_ring_text(20, parametric_cell=7), merge="minimal")
+    for call in (track_turns, turn_by_turn_state):
+        with pytest.raises(ParameterError, match="qf7"):
+            call(net, [1e-3, 0, 0, 0], 0)
+        with pytest.raises(ParameterError, match="qf7"):
+            call(net, [1e-3, 0, 0, 0], 10, params={"qf1": 0.6})
 
 
 def test_flat_signal_raises():

@@ -8,7 +8,7 @@ import pytest
 from polytrack import cli
 from polytrack.network import load_model, one_turn_map
 
-from conftest import (FODO12_TEXT, LINEAR_RING_TEXT, build,
+from conftest import (FODO12_TEXT, LINEAR_RING_TEXT, build, cell_ring_text,
                       transfer_line_text)
 
 
@@ -68,6 +68,34 @@ def test_track_bad_x0_rejected(tmp_path):
     assert run("build", lat, "-o", model) == 0
     assert run("track", model, "--x0", "1e-3,0", "--turns", "4",
                "-o", tmp_path / "t.csv") == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("command", [("track", "--x0", "1e-3,0,0,0", "--turns", "-1"),
+                                     ("portrait", "--amplitudes", "1e-3", "--turns", "-3")],
+                         ids=["track", "portrait"])
+def test_negative_turns_are_input_errors(tmp_path, capsys, command):
+    lat = tmp_path / "ring.lat"
+    lat.write_text(LINEAR_RING_TEXT)
+    model, out = tmp_path / "m.json", tmp_path / "out.csv"
+    assert run("build", lat, "-o", model) == 0
+    assert run(command[0], model, *command[1:], "-o", out) == cli.EXIT_INPUT
+    assert "n_turns" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [("track", "--x0", "1e-3,0,0,0", "--turns", "4"),
+                                     ("portrait", "--amplitudes", "1e-3", "--turns", "4")],
+                         ids=["track", "portrait"])
+@pytest.mark.parametrize("param", [[], ["--param", "qf1=0.6"]], ids=["none", "other"])
+def test_missing_param_is_input_error(tmp_path, capsys, command, param):
+    lat = tmp_path / "ring.lat"
+    lat.write_text(cell_ring_text(4, parametric_cell=2))
+    model, out = tmp_path / "m.json", tmp_path / "out.csv"
+    assert run("build", lat, "-o", model) == 0
+    assert run(command[0], model, *command[1:], *param, "-o", out) == cli.EXIT_INPUT
+    assert "qf2" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(command[0], model, *command[1:], "--param", "qf2=0.6", "-o", out) == 0
 
 
 def test_tune_pipeline_matches_trace(tmp_path):
@@ -185,6 +213,26 @@ def test_thread_infeasible_exit_code(tmp_path):
         "aperture": 10e-3, "max_iterations": 10, "c_max": 1e-9,
     }))
     assert run("thread", scenario, "-o", tmp_path / "log.json") == cli.EXIT_INFEASIBLE
+
+
+@pytest.mark.parametrize("scenario", [
+    ["not", "an", "object"],
+    {"misalign": {"q99": [1e-3, 0.0]}},
+    {"misalign": {"q6": 1e-3}},
+    {"misalign": {"q6": [1e-3]}},
+    {"misalign": {"q6": ["a", 0.0]}},
+    {"misalign": [["q6", 1e-3, 0.0]]},
+], ids=["list", "unknown-element", "scalar", "short", "string", "not-a-map"])
+def test_malformed_thread_scenario_is_input_error(tmp_path, capsys, scenario):
+    lat = tmp_path / "line.lat"
+    lat.write_text(transfer_line_text(bad_dx=0.0))
+    if isinstance(scenario, dict):
+        scenario = {"lattice": str(lat), "merge": "minimal", **scenario}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert run("thread", path, "-o", tmp_path / "log.json") == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "log.json").exists()
 
 
 def test_missing_model_file_is_input_error(tmp_path):

@@ -2,20 +2,22 @@
 
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from polytrack import network
+from polytrack import elements as elem
 from polytrack.lattice import parse_lattice, plan_segments, split_at_monitors
-from polytrack.network import (MODEL_FORMAT_VERSION, ModelFormatError,
+from polytrack.network import (MODEL_FORMAT_VERSION, Layer, ModelFormatError, Network,
                                ParameterError, TrackRecord, _param_embedding,
                                build_network, forward, forward_batch, load_model,
                                one_turn_map, save_model)
-from polytrack.polymap import ShapeError, TaylorMap
+from polytrack.polymap import ShapeError, TaylorMap, compose_chain
 
 from conftest import (FODO12_TEXT, FODO_MONITORED_TEXT, SEXTUPOLE_RING_TEXT, achromat_text,
-                      build, cell_ring_text, full_evaluate)
+                      build, cell_ring_text, full_evaluate, random_map,
+                      reference_forward)
 
 
 def test_merge_policies_agree_at_taps(rng):
@@ -93,17 +95,78 @@ def test_forward_and_forward_batch_agree(rng, name):
 
 
 @pytest.mark.parametrize("name", ["fodo12", "achromat", "sextupole_ring", "parametric"])
-def test_forward_matches_full_basis_evaluation(rng, monkeypatch, name):
+def test_forward_matches_full_basis_evaluation(rng, name):
     net, params = NETS[name]()
     x0 = rng.uniform(-1e-3, 1e-3, size=(50, 4))
-    got = [forward(net, x, params) for x in x0]
-    monkeypatch.setattr(network, "evaluate", full_evaluate)
-    for x, (y, taps) in zip(x0, got):
-        ref, ref_taps = forward(net, x, params)
+    for x in x0:
+        y, taps = forward(net, x, params)
+        ref, ref_taps = reference_forward(net, x, params, evaluate=full_evaluate)
         assert np.max(np.abs(y - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert taps.keys() == ref_taps.keys()
         for label, reading in taps.items():
             assert np.max(np.abs(np.subtract(reading, ref_taps[label]))) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _one_layer_ring():
+    """A single tapped sextupole-and-quadrupole layer: its output is the next turn's input."""
+    ring = [elem.quad_map(0.5, 0.6), elem.sextupole_map(0.2, 40.0), elem.drift_map(1.0)]
+    return Network([Layer(compose_chain(ring), tap=True, label="bpm")], state_dim=4, order=2)
+
+
+def _constant_layer_in_the_middle():
+    """FODO12 with a tapped layer whose map is its constant alone (live degree 0) after layer 5."""
+    net = build(FODO12_TEXT)
+    flat = np.zeros((4, net.layers[0].map.basis.size))
+    flat[:, 0] = [1e-4, -2e-5, 3e-4, 4e-5]
+    const = Layer(TaylorMap.from_flat(flat, 4, 2), tap=True, label="const")
+    taps = [replace(l, tap=True, label=f"t{i}") for i, l in enumerate(net.layers)]
+    return Network(taps[:6] + [const] + taps[6:], state_dim=4, order=2)
+
+
+def _two_dimensional():
+    """A 2-D (x, x') line: a quadrupole, a random quadratic map and a bound parametric quadrupole."""
+    layers = [Layer(elem.quad_map(0.5, 0.6, n=2), tap=True, label="q1"),
+              Layer(random_map(np.random.default_rng(5), 2), label="nonlinear"),
+              Layer(elem.parametric_quad_map(0.5, order=2, phase_dim=2), tap=True, label="pq",
+                    kind="parametric", params=("k",)),
+              Layer(elem.drift_map(1.0, n=2), tap=True, label="d")]
+    return Network(layers, state_dim=2, order=2)
+
+
+# (network, parameter values) of every layout the single-particle pass has to get right
+PASS_NETS = dict(NETS, **{
+    "one_layer": lambda: (_one_layer_ring(), None),
+    "constant_layer": lambda: (_constant_layer_in_the_middle(), None),
+    "two_dimensional": lambda: (_two_dimensional(), {"k": -0.4}),
+})
+
+
+@pytest.mark.parametrize("name", list(PASS_NETS))
+def test_forward_bit_equal_to_per_layer_loop(rng, name):
+    net, params = PASS_NETS[name]()
+    for x in rng.uniform(-2e-3, 2e-3, size=(20, net.state_dim)):
+        y, taps = forward(net, x, params)
+        ref, ref_taps = reference_forward(net, x, params)
+        assert y.tobytes() == ref.tobytes() and y.shape == ref.shape
+        assert list(taps) == list(ref_taps) == net.tap_labels()
+        for label, reading in taps.items():
+            assert np.array(reading).tobytes() == np.array(ref_taps[label]).tobytes()
+            if net.state_dim == 2:
+                assert reading[1] == 0.0
+
+
+def test_forward_output_is_a_new_array(rng):
+    net, _ = PASS_NETS["one_layer"]()
+    x0 = rng.uniform(-1e-3, 1e-3, size=4)
+    keep = x0.copy()
+    y, taps = forward(net, x0)
+    assert not np.shares_memory(y, x0)
+    assert x0.tobytes() == keep.tobytes()
+    y[:] = 1.0  # neither the returned state nor the input feeds a later call
+    x0[:] = 0.5
+    again, again_taps = forward(net, keep)
+    ref, ref_taps = reference_forward(net, keep)
+    assert again.tobytes() == ref.tobytes() and again_taps == ref_taps
 
 
 @pytest.mark.parametrize("x0", [np.zeros(3), np.zeros(5), np.zeros((1, 4)), np.zeros((4, 1)),
@@ -228,6 +291,8 @@ def test_missing_parameter_value_raises():
     net = build(text)
     with pytest.raises(ParameterError, match="q"):
         forward(net, np.array([1e-3, 0.0, 0.0, 0.0]))
+    with pytest.raises(ParameterError, match="'q'"):
+        forward(net, np.array([1e-3, 0.0, 0.0, 0.0]), params={"k": 0.8})
     out, _ = forward(net, np.array([1e-3, 0.0, 0.0, 0.0]), params={"q": 0.8})
     assert np.all(np.isfinite(out))
 

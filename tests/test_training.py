@@ -9,13 +9,13 @@ import pytest
 from polytrack import polymap, symplectic, training
 from polytrack.analysis import track_turns
 from polytrack.correction import get_kicks, set_kicks
-from polytrack.network import Layer, Network, TrackRecord, _layer_input, forward
+from polytrack.network import Layer, Network, TrackRecord, forward
 from polytrack.polymap import ShapeError, evaluate, jacobian
 from polytrack.training import (TrainConfig, TrainSample, TrainingDivergence,
                                 gradients, loss, samples_from_csv,
                                 samples_to_csv, train)
 
-from conftest import LINEAR_RING_TEXT, achromat_text, build, random_map, weight_block
+from conftest import LINEAR_RING_TEXT, achromat_text, build, layer_input, random_map, weight_block
 
 
 X0 = np.array([1e-3, 0.0, 0.5e-3, 0.0])
@@ -388,7 +388,7 @@ def _reference_me_terms(net, samples):
             states = [x]
             tap_states = []
             for layer in net.layers:
-                x = evaluate(layer.map, _layer_input(layer, x, sample.params))
+                x = evaluate(layer.map, layer_input(layer, x, sample.params))
                 states.append(x)
                 if layer.tap:
                     tap_states.append(np.array([x[0], x[2] if net.state_dim >= 4 else 0.0]))
@@ -427,7 +427,7 @@ def _reference_gradients(net, samples, sym_weight, config):
                         adj[0] += g[0]
                         if n >= 4:
                             adj[2] += g[1]
-                mono = layer.map.basis.eval_flat(_layer_input(layer, inputs[t][li], sample.params))
+                mono = layer.map.basis.eval_flat(layer_input(layer, inputs[t][li], sample.params))
                 if li in trainable:
                     grads[li] += np.outer(adj, mono)
                 full = (jacs[li].coeffs @ mono[:jacs[li].basis.size]).T @ adj
