@@ -19,9 +19,10 @@ a gather and one multiply, both for values and for polynomials
 1 + var[s]) are cut once, when the basis is built; variable v sits in slot
 1 + v of a monomial vector, so `grow` fills a vector in place from its
 degree-1 slots.  `eval_flat` (at one point or at a particles-last batch of
-points) and the network's single-particle pass (`network._Pass`, whose
-layers write their outputs into the degree-1 slots of the next layer's
-vector) both grow their values with it.  The basis of order k is a prefix
+points) and the network's pass plan (`network._Pass`, whose layers write
+their outputs into the degree-1 slots of the next layer's buffer, for one
+state or a particles-last batch of columns: `forward`, the multi-turn
+trackers and training all run on it) grow their values with it.  The basis of order k is a prefix
 of every higher-order basis in the same variables, so a map whose top
 degrees are zero is evaluated on a lower-order basis at the cost of the
 degrees it uses.

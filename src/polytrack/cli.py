@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, correction, kernels, lattice, network, training
+from . import analysis, correction, lattice, network, training
 from .elements import DivergenceError, ElementError
 from .lattice import LatticeError
 from .network import ModelFormatError, ParameterError
@@ -95,6 +96,18 @@ def _misalignments(misalign, definitions) -> dict:
                            f"finite numbers, got {offset!r}")
         out[name] = tuple(float(v) for v in offset)
     return out
+
+
+def _scenario_number(scenario: dict, key: str, default, low: float, integer: bool = False,
+                     above: bool = False):
+    """Scenario field `key`: a finite number (an integer if `integer`) >= `low` (> if `above`)."""
+    value = scenario.get(key, default)
+    if not (isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+            and -math.inf < value < math.inf and (value > low if above else value >= low)):
+        kind = "an integer" if integer else "a finite number"
+        raise CliError(f"scenario '{key}' must be {kind} {'>' if above else '>='} {low:g}, "
+                       f"got {value!r}")
+    return value
 
 
 def cmd_build(args) -> int:
@@ -225,27 +238,30 @@ def cmd_thread(args) -> int:
         raise CliError(f"{scenario.get('lattice')}: {exc}")
     except KeyError:
         raise CliError("scenario is missing the 'lattice' key")
-    order = scenario.get("order", 2)
+    order = _scenario_number(scenario, "order", 2, 1, integer=True)
     merge = scenario.get("merge", "minimal")
+    if merge not in ("minimal", "per_element"):
+        raise CliError(f"scenario 'merge' must be 'minimal' or 'per_element', got {merge!r}")
+    seed = _scenario_number(scenario, "seed", args.seed, 0, integer=True)
+    sigma = _scenario_number(scenario, "misalign_sigma", 0.0, 0)
+    noise = _scenario_number(scenario, "noise_sigma", 0.0, 0)
+    aperture = _scenario_number(scenario, "aperture", 10e-3, 0, above=True)
+    iterations = _scenario_number(scenario, "max_iterations", 10, 0, integer=True)
+    c_max = _scenario_number(scenario, "c_max", 1e-3, 0, above=True)
     ideal = network.build_network(doc, order=order, merge_policy=merge)
 
-    rng = np.random.default_rng(scenario.get("seed", args.seed))
+    rng = np.random.default_rng(seed)
     err_doc = lattice.parse_lattice(lattice.serialize_lattice(doc))
     for name, (dx, dy) in _misalignments(scenario.get("misalign", {}), err_doc.definitions).items():
         err_doc.definitions[name].dx = dx
         err_doc.definitions[name].dy = dy
-    sigma = scenario.get("misalign_sigma", 0.0)
     if sigma:
         for spec in err_doc.definitions.values():
             if spec.kind in ("quadrupole", "sextupole"):
                 spec.dx += rng.normal(0.0, sigma)
     machine = network.build_network(err_doc, order=order, merge_policy=merge)
-    sim = correction.MachineSim(machine, noise_sigma=scenario.get("noise_sigma", 0.0),
-                                aperture=scenario.get("aperture", 10e-3),
-                                seed=scenario.get("seed", args.seed))
-    log = correction.thread_beam(sim, ideal,
-                                 max_iterations=scenario.get("max_iterations", 10),
-                                 c_max=scenario.get("c_max", 1e-3))
+    sim = correction.MachineSim(machine, noise_sigma=noise, aperture=aperture, seed=seed)
+    log = correction.thread_beam(sim, ideal, max_iterations=iterations, c_max=c_max)
     Path(args.output).write_text(json.dumps(log, indent=1))
     final = log[-1]
     print(f"{len(log)} iterations, {final['n_valid']} valid BPMs, rms {final['rms']:.3e} m")
@@ -259,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Polynomial-map lattice modeling, tracking and correction")
     p.add_argument("--version", action="version",
                    version=f"polytrack 0.1.0 (model format v{network.MODEL_FORMAT_VERSION})")
-    p.add_argument("--threads", type=int, default=None, help="cap worker threads")
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="parse a lattice and write a model file")
@@ -331,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads:
-        kernels.set_num_threads(args.threads)
     try:
         return args.func(args)
     except CliError as exc:

@@ -1,11 +1,15 @@
 """Layered polynomial-map network with BPM taps and parameter bindings.
 
-`forward` sends one state through the layers on a pass plan (`_Pass`):
-each layer owns one monomial vector over its live basis, with its
-constant and bound parameter values written once, and each layer's output
-is written straight into the state slots of the next layer's vector.  The
-multi-turn trackers in `analysis` build the plan once and run it every
-turn.  `forward_batch` runs the layers on a batch of states.
+One pass plan (`_Pass`) sends a state through the layers: each layer owns
+one monomial buffer over its live basis, with its constant and bound
+parameter values written once, and each layer's output is written straight
+into the state slots of the next layer's buffer.  The same plan runs one
+state `(n,)` or a particles-last batch of columns `(n, N)`.  `forward` runs
+it once on one state, the multi-turn trackers in `analysis` build it once
+and run it every turn, and training builds one per turn over its samples
+and runs it every epoch.  `_tap_rows` is the one definition of the state
+rows a tap reads.  `forward_batch` runs the layers on a batch of states
+through `evaluate_batch`.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from . import elements as elem
 from .basis import ORDERING_TAG
-from .lattice import LatticeDoc, SegmentPlan, plan_segments
+from .lattice import LatticeDoc, plan_segments
 from .polymap import ShapeError, TaylorMap, compose, compose_chain, evaluate_batch
 
 MODEL_FORMAT_VERSION = 1
@@ -103,49 +107,72 @@ def _param_values(layer: Layer, params) -> list:
         raise ParameterError(f"missing parameter value for {exc.args[0]!r}") from None
 
 
-def _position(x: np.ndarray) -> tuple[float, float]:
-    xs = x.tolist()
-    return (xs[0], xs[2] if len(xs) >= 4 else 0.0)
+def _tap_rows(n: int) -> tuple[slice, slice]:
+    """(state rows, reading columns) of a tap: x, and y for a state of 4 or more coordinates."""
+    return (slice(0, 3, 2), slice(0, 2)) if n >= 4 else (slice(0, 1), slice(0, 1))
 
 
 class _Pass:
-    """A plan for sending one state through every layer, built once and run any number of times.
+    """A plan for sending one state, or a batch of columns, through every layer.
 
-    Each layer gets one monomial vector sized to its live basis
-    (`TaylorMap._live`), and never shorter than its constant and input
-    slots.  The constant 1 and the values `params` binds to the layer's
-    parameter inputs are written once, here, so a missing parameter raises
-    `ParameterError` before any layer runs.  `run` grows each vector in
-    place (`MonomialBasis.grow`, for layers of live degree >= 2) and writes
-    the layer's output with one `coeffs.dot(mono, out=...)` straight into
-    the state slots of the next layer's vector; the last layer writes into
-    `state_out`, which is not `state_in`, so a one-layer ring never reads
-    what it writes.  The values and the arithmetic are those of `evaluate`
-    layer by layer.
+    Built once and run any number of times.  Without `columns` the state is
+    one vector `(n,)`; with it the state is particles-last `(n, columns)`
+    and every buffer below gains that trailing axis.  Each layer gets one
+    monomial buffer sized to its live basis (`TaylorMap._live`), or to its
+    full basis for a layer index in `full` (a layer trained on every weight:
+    its zero weights still get a gradient), and never shorter than its
+    constant and input slots.  The constant 1 and the parameter values
+    (`set_params`: a {name: value} map, or one per column) are written
+    once, here, so a missing parameter raises `ParameterError` before any
+    layer runs.  `run` grows each buffer in place (`MonomialBasis.grow`, for
+    layers of degree >= 2) and writes the layer's output with one
+    `coeffs.dot(mono, out=...)` straight into the state slots of the next
+    layer's buffer; the last layer writes into `state_out`, which is not
+    `state_in`, so a one-layer ring never reads what it writes.  `taps`
+    holds the tapped layers' outputs and `monos` each layer's monomials,
+    both as of the last run.  The values and the arithmetic are those of
+    `evaluate` layer by layer.
     """
 
-    def __init__(self, net: Network, params=None):
+    def __init__(self, net: Network, params=None, columns: int | None = None, full=()):
         n = net.state_dim
-        self.state_out = out = np.empty(n)
-        self.layers, self.taps = [], []  # taps: outputs of the tapped layers
+        self.state_out = out = np.empty(n if columns is None else (n, columns))
+        self.layers, self.taps, self._params = [], [], []
+        li = len(net.layers)
         for layer in reversed(net.layers):  # each layer's output is the next one's input slots
+            li -= 1
             tmap = layer.map
-            basis, coeffs = tmap._live
-            mono = np.empty(max(basis.size, 1 + tmap.n_in))
+            basis, coeffs = (tmap.basis, tmap.flat_coefficients()) if li in full else tmap._live
+            size = max(basis.size, 1 + tmap.n_in)
+            mono = np.empty(size if columns is None else (size, columns))
             mono[0] = 1.0
             if layer.params:
-                mono[1 + n:1 + tmap.n_in] = _param_values(layer, params)
+                self._params.append((layer, mono[1 + n:1 + tmap.n_in]))
             grow = basis.grow if basis.max_order >= 2 else None
-            self.layers.append((grow, coeffs, mono[:basis.size], out))
+            live = mono if size == basis.size else mono[:basis.size]  # shorter: live degree 0
+            self.layers.append((grow, coeffs, live, out))
             if layer.tap:
                 self.taps.append(out)
             out = mono[1:1 + n]
         self.layers.reverse()
         self.taps.reverse()
         self.state_in = out  # the first layer's state slots
+        if self._params:
+            self.set_params(params)
+
+    def set_params(self, params) -> None:
+        """Write the parametric layers' inputs: a {name: value} map, or one per column."""
+        for layer, slots in self._params:
+            slots[:] = (_param_values(layer, params) if slots.ndim == 1
+                        else np.transpose([_param_values(layer, p) for p in params]))
+
+    def set_coeffs(self, li: int, coeffs: np.ndarray) -> None:
+        """Run layer li with a new coefficient matrix over the same basis (a training update)."""
+        grow, _, mono, out = self.layers[li]
+        self.layers[li] = (grow, coeffs, mono, out)
 
     def load(self, x0) -> None:
-        """Copy a state into the first layer's slots."""
+        """Copy a state, or a batch of columns, into the first layer's slots."""
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape != self.state_in.shape:
             raise ShapeError(f"input has shape {x0.shape}, network expects {self.state_in.shape}")
@@ -158,9 +185,16 @@ class _Pass:
                 grow(mono)
             coeffs.dot(mono, out=out)  # the product of evaluate, written in place
 
+    @property
+    def monos(self) -> list:
+        """Each layer's monomial buffer, in layer order."""
+        return [mono for _, _, mono, _ in self.layers]
+
     def readings(self) -> list:
-        """(x, y) at each tap after the last `run`, in tap order."""
-        return [_position(out) for out in self.taps]
+        """(x, y) at each tap of a one-state pass after the last `run`, in tap order."""
+        rows, cols = _tap_rows(len(self.state_out))
+        pad = (0.0,) * (2 - cols.stop)  # y reads 0 without a y row
+        return [tuple(x.tolist()[rows]) + pad for x in self.taps]
 
 
 def forward(net: Network, x0, params=None):
@@ -178,6 +212,7 @@ def forward(net: Network, x0, params=None):
 def forward_batch(net: Network, x0s, params=None):
     """Batch forward; returns (final states (N, n), taps label -> (N, 2))."""
     x = np.asarray(x0s, dtype=np.float64)
+    rows, cols = _tap_rows(net.state_dim)
     taps = {}
     for layer in net.layers:
         if layer.params:
@@ -185,10 +220,8 @@ def forward_batch(net: Network, x0s, params=None):
             x = np.hstack([x, np.broadcast_to(extra, (x.shape[0], extra.size))])
         x = evaluate_batch(layer.map, x)
         if layer.tap:
-            if net.state_dim >= 4:
-                taps[layer.label] = x[:, (0, 2)].copy()
-            else:
-                taps[layer.label] = np.stack([x[:, 0], np.zeros(x.shape[0])], axis=1)
+            taps[layer.label] = reading = np.zeros((x.shape[0], 2))
+            reading[:, cols] = x[:, rows]
     return x, taps
 
 
@@ -216,21 +249,19 @@ def one_turn_map(net: Network, params=None) -> TaylorMap:
 # -- construction from a lattice ----------------------------------------------
 
 def build_network(doc: LatticeDoc, order: int = 2, merge_policy: str = "minimal",
-                  sextupole_slices: int = 4, paper_compat: bool = False,
-                  plan: SegmentPlan | None = None) -> Network:
+                  paper_compat: bool = False) -> Network:
     """Build layer maps from a monitor-split lattice document."""
-    if plan is None:
-        plan = plan_segments(doc, merge_policy)
+    plan = plan_segments(doc, merge_policy)
     n = doc.dim
     layers = []
     for seg in plan.segments:
         if seg.kind == "parametric":
             spec = doc.definitions[seg.element_names[0]]
-            m = elem.element_map(spec, n, order, sextupole_slices, paper_compat)
+            m = elem.element_map(spec, n, order, paper_compat=paper_compat)
             layers.append(Layer(m, tap=seg.tap, trainable=seg.trainable,
                                 label=seg.label, kind="parametric", params=(spec.name,)))
             continue
-        maps = [elem.element_map(doc.definitions[name], n, order, sextupole_slices, paper_compat)
+        maps = [elem.element_map(doc.definitions[name], n, order, paper_compat=paper_compat)
                 for name in seg.element_names]
         m = compose_chain(maps) if maps else TaylorMap.identity(n, order)
         layers.append(Layer(m, tap=seg.tap, trainable=seg.trainable,

@@ -16,15 +16,17 @@ Evaluation at one point costs only the degrees a map uses.  On first use a
 map keeps a read-only "live" pair: the basis up to its highest degree with a
 non-zero coefficient and the matching column prefix of its matrix, and
 `evaluate` is `live_coeffs @ live_basis.eval_flat(x)`; the network's
-single-particle pass (`network._Pass`) sizes each layer's monomial vector
-by the same pair.  A linear element is then one affine step instead of
-growing and multiplying zero monomials.
+pass plan (`network._Pass`, behind `forward`, the multi-turn trackers and
+training) sizes each layer's monomial buffer by the same pair.  A linear
+element is then one affine step instead of growing and multiplying zero
+monomials.
 Lower-order bases are prefixes of the full one, so the result is the full
 product up to rounding; a state whose dropped monomials overflow now gives
 finite values or inf where the zero weights made NaN.  Batch evaluation
-keeps the full basis.  Training runs its frozen and kick-only layers on
-the live pair too, but a layer trained on every weight on the full basis:
-its zero weights still get a gradient.
+(`evaluate_batch`, `kernels.batch_apply`) keeps the full basis.  Training's
+plans run its frozen and kick-only layers on the live pair too, but a
+layer trained on every weight on the full basis: its zero weights still
+get a gradient.
 
 A map builds its polynomial Jacobian (one gather-and-scale through the
 basis derivative table) the first time `jacobian` asks for it and keeps it

@@ -20,17 +20,6 @@ from .basis import get_basis
 from .polymap import PolyMatrix, TaylorMap, jacobian
 
 
-def symplectic_form(dim: int) -> np.ndarray:
-    """The block matrix J = [[0, I], [-I, 0]] in (q1..qm, p1..pm) order."""
-    if dim % 2:
-        raise ValueError("symplectic form needs even dimension")
-    m = dim // 2
-    j = np.zeros((dim, dim))
-    j[:m, m:] = np.eye(m)
-    j[m:, :m] = -np.eye(m)
-    return j
-
-
 def _interleaved_form(dim: int) -> np.ndarray:
     """J for coordinates ordered (x, x', y, y', ...)."""
     if dim % 2:

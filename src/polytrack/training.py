@@ -6,25 +6,29 @@ accumulation through the layer Jacobians; optimization is Adam with global
 gradient-norm clipping.
 
 One forward pass runs every sample at once, its state stored
-particles-last as an (n, N) array; samples keep their own injection state,
-parameter values, turn count, taps and mask.  The adjoint goes back through
-that pass: per layer one Jᵀ·adj matmul for all samples and, for a layer
-trained on every weight, one weight-gradient product on its input
-monomials.  A masked reading adds exactly nothing, even where the model or
-the file holds a non-finite value.
+particles-last as an (n, N) array, on the same pass plan that sends one
+state through the network (`network._Pass`, built with one column per
+sample still running); samples keep their own injection state, parameter
+values, turn count, taps and mask.  The adjoint goes back through that
+pass, reading each layer's input monomials from the plan's buffers: per
+layer one Jᵀ·adj matmul for all samples and, for a layer trained on every
+weight, one weight-gradient product on those monomials.  A masked reading
+adds exactly nothing, even where the model or the file holds a non-finite
+value.
 
 What no weight update can change is built once per call of `train`,
 `gradients` or `loss` (`_Batch`): the samples' readings and masks
-scattered onto the network's taps, their states and parameter columns,
-and every frozen layer's Jacobian, cut to the degrees its live pair
-(`TaylorMap._live`) uses, so a linear frozen layer is one affine step
-forward and one matmul back.  A trainable layer whose mask covers only its
-constant column (a corrector) also runs on its live pair and keeps its
-Jacobian and symplectic penalty for the whole call: its kick moves neither.
-Once per epoch `train` rebuilds only what the update changed: the
-fully trained layers' maps, Jacobians (from the maps' own caches,
-`polymap.jacobian`, shared with the symplectic residual) and residuals,
-and, when they are fitted, the states and parameter columns.
+scattered onto the network's taps, one plan per turn holding their states
+and parameter values, and every frozen layer's Jacobian, cut to the
+degrees its live pair (`TaylorMap._live`) uses, so a linear frozen layer
+is one affine step forward and one matmul back.  A trainable layer whose
+mask covers only its constant column (a corrector) also runs on its live
+pair and keeps its Jacobian and symplectic penalty for the whole call: its
+kick moves neither.  Once per epoch `train` rebuilds only what the update
+changed: the fully trained layers' maps, Jacobians (from the maps' own
+caches, `polymap.jacobian`, shared with the symplectic residual) and
+residuals, hands the plans each trained layer's new matrix, and, when they
+are fitted, rewrites the states and parameter values in the plans.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import get_basis
-from .network import Network, TrackRecord, _param_values
+from .network import Network, TrackRecord, _Pass, _tap_rows
 from .polymap import ShapeError, TaylorMap, jacobian
 from .symplectic import _residual, _weight_gradient, symplectic_penalty
 
@@ -116,10 +120,11 @@ class _Batch:
     running in turn t are the first `active[t]` columns.  `observed` and
     `used` hold every sample's readings and mask scattered onto the
     network's taps, `(n_turns, n_taps, 2, N)`, and `count` the number of
-    readings in play.  `x0` `(n, N)` holds the injection states and
-    `extra[li]` parametric layer li's parameter columns; an epoch of `train`
-    rewrites these two only when it fits the initial state or the
-    parameters.
+    readings in play.  `plans[t]` is turn t's pass over those columns
+    (`network._Pass`); the first holds the injection states, and every plan
+    its columns' parameter values.  An epoch of `train` hands the plans the
+    trained layers' new matrices, and rewrites the states and parameter
+    values only when it fits them.
 
     `full` lists the trainable layers that run on their full basis, because
     every weight of theirs gets a gradient; `kicks` the trainable layers
@@ -136,20 +141,24 @@ class _Batch:
     observed: np.ndarray
     used: np.ndarray
     count: int
-    x0: np.ndarray
-    extra: dict
+    plans: list
     trainable: list
     full: set
     kicks: set
     tape: dict = field(default_factory=dict)
     sym: dict = field(default_factory=dict)
 
-    def refresh(self, net: Network, x0s, params) -> None:
-        """Rewrite the injection states and parameter columns, one entry per sample."""
-        for c, si in enumerate(self.order):
-            self.x0[:, c] = x0s[si]
-            for li, cols in self.extra.items():
-                cols[:, c] = _param_values(net.layers[li], params[si])
+    def refresh(self, x0s, params) -> None:
+        """Rewrite the injection states and parameter values, one entry per sample."""
+        self.plans[0].load(np.transpose([x0s[si] for si in self.order[:self.active[0]]]))
+        for k, plan in zip(self.active, self.plans):
+            plan.set_params([params[si] for si in self.order[:k]])
+
+    def update(self, li: int, tmap: TaylorMap) -> None:
+        """Run trainable layer li with its updated map from now on."""
+        coeffs = tmap.flat_coefficients() if li in self.full else tmap._live[1]
+        for plan in self.plans:
+            plan.set_coeffs(li, coeffs)
 
 
 def _build_batch(net: Network, samples, config: TrainConfig | None) -> _Batch:
@@ -178,13 +187,13 @@ def _build_batch(net: Network, samples, config: TrainConfig | None) -> _Batch:
     count = int(used.sum())
     if count == 0:
         raise ValueError("no unmasked readings to train on")
-    extra = {li: np.array([_param_values(layer, samples[si].params) for si in order],
-                          dtype=np.float64).T
-             for li, layer in enumerate(net.layers) if layer.params}
     trainable = _trainable_indices(net, config)
     kicks = {i for i in trainable if not net.layers[i].trainable_mask()[:, 1:].any()}
-    return _Batch(order, active, turns, observed, used, count, x, extra, trainable,
-                  set(trainable) - kicks, kicks)
+    full = set(trainable) - kicks
+    params = [samples[si].params for si in order]
+    plans = [_Pass(net, params[:k], k, full) for k in active]
+    plans[0].load(x[:, :active[0]])
+    return _Batch(order, active, turns, observed, used, count, plans, trainable, full, kicks)
 
 
 def _adjoint_layout(tmap: TaylorMap, basis) -> tuple[np.ndarray, int]:
@@ -201,63 +210,36 @@ def _adjoint_layout(tmap: TaylorMap, basis) -> tuple[np.ndarray, int]:
     return d.transpose(1, 0, 2).reshape(tmap.n_in, -1), p
 
 
-def _tap_rows(n: int) -> tuple[slice, slice]:
-    """(state rows, reading columns) of a tap: x, and y for a 4-D state."""
-    return (slice(0, 3, 2), slice(0, 2)) if n >= 4 else (slice(0, 1), slice(0, 1))
+def _forward_pass(net: Network, batch: _Batch) -> tuple[float, list]:
+    """Run every turn's plan; returns (me, dreadings).
 
-
-@dataclass
-class _Pass:
-    """Every sample's forward pass at once, states particles-last.
-
-    `monos[t][li]` holds the monomials of layer li's input in turn t,
-    `(basis.size, active[t])`, over the full basis for a layer in
-    `batch.full` and over the live one otherwise; `dreadings[t]` the loss
-    gradient with respect to the network's tap readings,
-    `(n_taps, 2, active[t])`, zero for readings no sample observes.
+    Turn t's plan starts from the previous turn's final states of its
+    columns.  `dreadings[t]` is the loss gradient with respect to the
+    network's tap readings, `(n_taps, 2, active[t])`, zero for readings no
+    sample observes.
     """
-
-    me: float
-    monos: list
-    dreadings: list
-
-
-def _forward_pass(net: Network, batch: _Batch) -> _Pass:
-    read, coords = _tap_rows(net.state_dim)
+    read, cols = _tap_rows(net.state_dim)
     n_taps = batch.observed.shape[1]
-    x = batch.x0
     sq_sum = 0.0
-    monos, dreadings = [], []
-    for t, k in enumerate(batch.active):
-        x = x[:, :k]
-        turn_monos = []
+    dreadings = []
+    for t, (k, plan) in enumerate(zip(batch.active, batch.plans)):
+        if t:
+            plan.state_in[:] = batch.plans[t - 1].state_out[:, :k]
+        plan.run()
         taps = np.zeros((n_taps, 2, k))
-        tap_i = 0
-        for li, layer in enumerate(net.layers):
-            inp = np.concatenate([x, batch.extra[li][:, :k]]) if layer.params else x
-            if li in batch.full:
-                basis, coeffs = layer.map.basis, layer.map.flat_coefficients()
-            else:
-                basis, coeffs = layer.map._live
-            mono = basis.eval_flat(inp)
-            x = coeffs @ mono
-            turn_monos.append(mono)
-            if layer.tap:
-                taps[tap_i, coords] = x[read]
-                tap_i += 1
+        taps[:, cols] = np.array(plan.taps)[:, read]
         # masked readings add exactly nothing, whatever the model or the file holds there
         err = np.where(batch.used[t, :, :, :k], taps - batch.observed[t, :, :, :k], 0.0)
         sq_sum += float(np.sum(err ** 2))
-        monos.append(turn_monos)
         dreadings.append(2.0 * err / batch.count)
-    return _Pass(sq_sum / batch.count, monos, dreadings)
+    return sq_sum / batch.count, dreadings
 
 
 def loss(net: Network, samples, sym_weight: float = 1.0,
          config: TrainConfig | None = None) -> tuple[float, float, float]:
     """Returns (total, me, sym_penalty_sum)."""
     batch = _build_batch(net, samples, config)
-    me = _forward_pass(net, batch).me
+    me = _forward_pass(net, batch)[0]
     s = sum(symplectic_penalty(net.layers[i].map, net.state_dim) for i in batch.trainable)
     return me + sym_weight * s, me, s
 
@@ -274,10 +256,12 @@ def gradients(net: Network, samples, sym_weight: float = 1.0,
     only when fit_parameters is set).
 
     The samples' readings, masks, states and parameters are scattered onto
-    the network's taps once per call (`_build_batch`; `train` builds them once
-    and passes them to every epoch as `_batch`).  One forward pass runs
-    all samples together (`_forward_pass`); the adjoint then goes back
-    through it, turn by turn and layer by layer, as one `(n, N)` array.  Per
+    the network's taps once per call, with one pass plan per turn
+    (`_build_batch`; `train` builds them once and passes them to every epoch
+    as `_batch`).  One forward pass runs all samples together on those plans
+    (`_forward_pass`); the adjoint then goes back through it, turn by turn
+    and layer by layer, as one `(n, N)` array, reading each layer's input
+    monomials from the plan's buffers.  Per
     layer it is one Jᵀ·adj matmul over all samples (`_adjoint_layout`),
     plus, for a layer trained on every weight, one weight-gradient product
     `adj @ mono.T` on the forward monomials.  A frozen layer's Jacobian
@@ -288,9 +272,9 @@ def gradients(net: Network, samples, sym_weight: float = 1.0,
     batch = _build_batch(net, samples, config) if _batch is None else _batch
     fit_x0 = bool(config and config.fit_initial_condition)
     fit_params = bool(config and config.fit_parameters)
-    fw = _forward_pass(net, batch)
+    me, dreadings = _forward_pass(net, batch)
     n = net.state_dim
-    read, coords = _tap_rows(n)
+    read, cols = _tap_rows(n)
     grads = {i: np.zeros_like(net.layers[i].map.flat_coefficients()) for i in batch.trainable}
     for li, layer in enumerate(net.layers):
         if li not in batch.full and li not in batch.tape:
@@ -306,14 +290,14 @@ def gradients(net: Network, samples, sym_weight: float = 1.0,
     for t in reversed(range(len(batch.active))):
         k = batch.active[t]
         a = adj[:, :k]
-        dreadings = fw.dreadings[t]
-        tap_i = len(dreadings)
+        monos = batch.plans[t].monos
+        tap_i = len(dreadings[t])
         for li in reversed(range(len(net.layers))):
             layer = net.layers[li]
             if layer.tap:
                 tap_i -= 1
-                a[read] += dreadings[tap_i, coords]
-            mono = fw.monos[t][li]
+                a[read] += dreadings[t][tap_i, cols]
+            mono = monos[li]
             if li in batch.full:
                 grads[li] += a @ mono.T
             elif li in batch.kicks:
@@ -347,16 +331,18 @@ def gradients(net: Network, samples, sym_weight: float = 1.0,
             if sym_weight != 0.0:
                 grads[i] += sym_weight * _weight_gradient(tmap, residual, jd)
         grads[i] *= net.layers[i].trainable_mask()
-    return grads, x0_grads, param_grads, fw.me, s
+    return grads, x0_grads, param_grads, me, s
 
 
 def train(net: Network, samples, config: TrainConfig) -> tuple[Network, TrainReport]:
     """Adam with global-norm gradient clipping; deterministic; leaves `samples` as they are.
 
-    The samples are scattered onto the network once (`_build_batch`); an epoch
-    rewrites only their states and parameter values, and only when it fits
-    them.  A kick-only layer moves through `TaylorMap.with_constant`, so its
-    live pair and Jacobian carry over from epoch to epoch.
+    The samples are scattered onto the network, and one pass plan per turn
+    built, once (`_build_batch`); an epoch hands the plans each trained
+    layer's new matrix, and rewrites the states and parameter values only
+    when it fits them.  A kick-only layer moves through
+    `TaylorMap.with_constant`, so its live pair and Jacobian carry over from
+    epoch to epoch.
     """
     config.validate()
     net = net.copy()  # maps are immutable; training replaces them on the copy's layers
@@ -412,6 +398,7 @@ def train(net: Network, samples, config: TrainConfig) -> tuple[Network, TrainRep
             else:
                 w = adam_update(i, m.flat_coefficients(), scale * grads[i], step)
                 net.layers[i].map = TaylorMap.from_flat(w, m.n_in, m.order)
+            batch.update(i, net.layers[i].map)
         if config.fit_initial_condition:
             for si in range(len(samples)):
                 x0s[si] = adam_update(("x0", si), x0s[si], scale * x0_grads[si], step)
@@ -422,7 +409,7 @@ def train(net: Network, samples, config: TrainConfig) -> tuple[Network, TrainRep
                                       np.float64(pvals[si][name]), scale * g, step)
                     pvals[si][name] = float(new)
         if config.fit_initial_condition or config.fit_parameters:
-            batch.refresh(net, x0s, pvals)
+            batch.refresh(x0s, pvals)
     return net, report
 
 

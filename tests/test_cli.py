@@ -235,6 +235,22 @@ def test_malformed_thread_scenario_is_input_error(tmp_path, capsys, scenario):
     assert not (tmp_path / "log.json").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("order", "x"), ("order", 0), ("order", 2.5), ("merge", "bogus"), ("aperture", "wide"),
+    ("aperture", 0.0), ("max_iterations", "ten"), ("max_iterations", -1), ("seed", "abc"),
+    ("seed", -3), ("noise_sigma", "n"), ("noise_sigma", float("nan")), ("misalign_sigma", "s"),
+    ("misalign_sigma", -1e-4), ("c_max", "big"), ("c_max", True),
+])
+def test_bad_thread_scenario_field_is_input_error(tmp_path, capsys, field, value):
+    lat = tmp_path / "line.lat"
+    lat.write_text(transfer_line_text(bad_dx=0.0))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"lattice": str(lat), field: value}))
+    assert run("thread", path, "-o", tmp_path / "log.json") == cli.EXIT_INPUT
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "log.json").exists()
+
+
 def test_missing_model_file_is_input_error(tmp_path):
     assert run("track", tmp_path / "absent.json", "--x0", "0,0,0,0",
                "--turns", "1", "-o", tmp_path / "t.csv") == cli.EXIT_INPUT

@@ -10,8 +10,8 @@ import pytest
 from polytrack import elements as elem
 from polytrack.lattice import parse_lattice, plan_segments, split_at_monitors
 from polytrack.network import (MODEL_FORMAT_VERSION, Layer, ModelFormatError, Network,
-                               ParameterError, TrackRecord, _param_embedding,
-                               build_network, forward, forward_batch, load_model,
+                               ParameterError, TrackRecord, _Pass, _param_embedding,
+                               _tap_rows, build_network, forward, forward_batch, load_model,
                                one_turn_map, save_model)
 from polytrack.polymap import ShapeError, TaylorMap, compose_chain
 
@@ -153,6 +153,28 @@ def test_forward_bit_equal_to_per_layer_loop(rng, name):
             assert np.array(reading).tobytes() == np.array(ref_taps[label]).tobytes()
             if net.state_dim == 2:
                 assert reading[1] == 0.0
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["live", "full-basis"])
+@pytest.mark.parametrize("name", ["fodo12", "achromat", "sextupole_ring", "parametric"])
+def test_column_plan_matches_one_state_forwards(rng, name, full):
+    """A plan over N particles-last columns gives each column's one-state pass, taps too."""
+    net, params = NETS[name]()
+    n_cols = 16
+    x0 = rng.uniform(-2e-3, 2e-3, size=(net.state_dim, n_cols))
+    # the parametric ring gets a different strength in every column
+    col_params = [None if params is None else {k: v + 0.01 * c for k, v in params.items()}
+                  for c in range(n_cols)]
+    plan = _Pass(net, col_params, n_cols, range(len(net.layers)) if full else ())
+    plan.load(x0)
+    plan.run()
+    rows, cols = _tap_rows(net.state_dim)
+    for c in range(n_cols):
+        y, taps = forward(net, x0[:, c], col_params[c])
+        scale = np.max(np.abs(y))
+        assert np.max(np.abs(plan.state_out[:, c] - y)) <= 1e-14 * scale
+        for out, reading in zip(plan.taps, taps.values()):
+            assert np.max(np.abs(out[rows, c] - np.array(reading)[cols])) <= 1e-14 * scale
 
 
 def test_forward_output_is_a_new_array(rng):

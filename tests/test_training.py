@@ -567,6 +567,30 @@ def test_train_refreshes_states_and_parameters_every_epoch():
         assert np.array_equal(s.observed.readings, readings) and np.array_equal(s.mask, mask)
 
 
+def test_plans_built_once_per_call(monkeypatch):
+    """`train`, `gradients` and `loss` each build one pass plan per turn, whatever the epochs."""
+    net = build(MIXED_TEXT)
+    samples = _mixed_samples(net)  # 3, 1 and 2 turns
+    built = []
+
+    class CountedPass(training._Pass):
+        def __init__(self, *args, **kwargs):
+            built.append(args[2])  # the column count
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(training, "_Pass", CountedPass)
+    for epochs in (1, 5):
+        built.clear()
+        cfg = TrainConfig(epochs=epochs, learning_rate=1e-5, trainable_labels=["sf", "hc"],
+                          fit_initial_condition=True, fit_parameters=True)
+        train(net, samples, cfg)
+        assert built == [3, 2, 1]  # the samples still running in each turn
+    for call in (gradients, loss):
+        built.clear()
+        call(net, samples, 1.0, cfg)
+        assert built == [3, 2, 1]
+
+
 def test_kick_only_layers_build_their_caches_once_per_call(monkeypatch):
     net = build(achromat_text({}), merge="minimal")
     machine = build(achromat_text({i: 5e-5 * (-1) ** i for i in range(1, 11)}), merge="minimal")
