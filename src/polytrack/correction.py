@@ -194,11 +194,6 @@ def _adam_kicks(net: Network, names, target, mask_flat, x0, c_max, config):
     return np.clip(kicks, -c_max, c_max), config.epochs
 
 
-def _first_invalid(rec: TrackRecord) -> int:
-    bad = np.flatnonzero(~rec.valid[0, :, 0])
-    return int(bad[0]) if bad.size else len(rec.tap_labels)
-
-
 def _correctors_upstream(net: Network, n_valid_taps: int) -> list[str]:
     names = []
     taps_seen = 0

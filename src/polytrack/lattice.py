@@ -76,9 +76,6 @@ class _Parser:
         self.tokens = list(_tokenize(text))
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, None)
-
     def next(self, expect: str | None = None, what: str = ""):
         if self.pos >= len(self.tokens):
             t, l, c = self.tokens[-1] if self.tokens else ("", 1, 1)

@@ -117,11 +117,14 @@ class _Pass:
 
     Built once and run any number of times.  Without `columns` the state is
     one vector `(n,)`; with it the state is particles-last `(n, columns)`
-    and every buffer below gains that trailing axis.  Each layer gets one
-    monomial buffer sized to its live basis (`TaylorMap._live`), or to its
-    full basis for a layer index in `full` (a layer trained on every weight:
-    its zero weights still get a gradient), and never shorter than its
-    constant and input slots.  The constant 1 and the parameter values
+    and every buffer below gains that trailing axis.  Each layer runs on its
+    live pair (`TaylorMap._live`), or on the (basis, coefficients) pair that
+    `pairs` gives for its index, and gets one monomial buffer sized to that
+    basis, never shorter than its constant and input slots.  Training passes
+    its trained layers that way: a layer trained on every weight runs on its
+    full basis (its zero weights still get a gradient) with a view of the
+    trained values, a corrector on a copy of its live coefficients that takes
+    each new kick in place.  The constant 1 and the parameter values
     (`set_params`: a {name: value} map, or one per column) are written
     once, here, so a missing parameter raises `ParameterError` before any
     layer runs.  `run` grows each buffer in place (`MonomialBasis.grow`, for
@@ -134,7 +137,7 @@ class _Pass:
     `evaluate` layer by layer.
     """
 
-    def __init__(self, net: Network, params=None, columns: int | None = None, full=()):
+    def __init__(self, net: Network, params=None, columns: int | None = None, pairs=None):
         n = net.state_dim
         self.state_out = out = np.empty(n if columns is None else (n, columns))
         self.layers, self.taps, self._params = [], [], []
@@ -142,7 +145,7 @@ class _Pass:
         for layer in reversed(net.layers):  # each layer's output is the next one's input slots
             li -= 1
             tmap = layer.map
-            basis, coeffs = (tmap.basis, tmap.flat_coefficients()) if li in full else tmap._live
+            basis, coeffs = pairs[li] if pairs and li in pairs else tmap._live
             size = max(basis.size, 1 + tmap.n_in)
             mono = np.empty(size if columns is None else (size, columns))
             mono[0] = 1.0
@@ -165,11 +168,6 @@ class _Pass:
         for layer, slots in self._params:
             slots[:] = (_param_values(layer, params) if slots.ndim == 1
                         else np.transpose([_param_values(layer, p) for p in params]))
-
-    def set_coeffs(self, li: int, coeffs: np.ndarray) -> None:
-        """Run layer li with a new coefficient matrix over the same basis (a training update)."""
-        grow, _, mono, out = self.layers[li]
-        self.layers[li] = (grow, coeffs, mono, out)
 
     def load(self, x0) -> None:
         """Copy a state, or a batch of columns, into the first layer's slots."""

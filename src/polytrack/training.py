@@ -2,33 +2,26 @@
 
 Loss = mean squared error over unmasked tap readings plus a weighted sum of
 symplectic penalties of the trainable layers.  Gradients are exact reverse
-accumulation through the layer Jacobians; optimization is Adam with global
-gradient-norm clipping.
+accumulation through the layer Jacobians, on the pass plan that sends one
+state through the network (`network._Pass`), here with one particles-last
+column per sample still running; a masked reading adds exactly nothing,
+even where the model or the file holds a non-finite value.  Optimization is
+Adam with global gradient-norm clipping, one step per epoch on one flat
+vector θ: for each trainable layer in layer order, the entries its
+`trainable_mask` allows (a fully trained layer's whole coefficient matrix,
+row by row; a corrector's kick), then each sample's x0 if
+`fit_initial_condition` is set, then each sample's values of
+`Network.param_names()` if `fit_parameters` is set, both in sample order.
 
-One forward pass runs every sample at once, its state stored
-particles-last as an (n, N) array, on the same pass plan that sends one
-state through the network (`network._Pass`, built with one column per
-sample still running); samples keep their own injection state, parameter
-values, turn count, taps and mask.  The adjoint goes back through that
-pass, reading each layer's input monomials from the plan's buffers: per
-layer one Jᵀ·adj matmul for all samples and, for a layer trained on every
-weight, one weight-gradient product on those monomials.  A masked reading
-adds exactly nothing, even where the model or the file holds a non-finite
-value.
-
-What no weight update can change is built once per call of `train`,
-`gradients` or `loss` (`_Batch`): the samples' readings and masks
-scattered onto the network's taps, one plan per turn holding their states
-and parameter values, and every frozen layer's Jacobian, cut to the
-degrees its live pair (`TaylorMap._live`) uses, so a linear frozen layer
-is one affine step forward and one matmul back.  A trainable layer whose
-mask covers only its constant column (a corrector) also runs on its live
-pair and keeps its Jacobian and symplectic penalty for the whole call: its
-kick moves neither.  Once per epoch `train` rebuilds only what the update
-changed: the fully trained layers' maps, Jacobians (from the maps' own
-caches, `polymap.jacobian`, shared with the symplectic residual) and
-residuals, hands the plans each trained layer's new matrix, and, when they
-are fitted, rewrites the states and parameter values in the plans.
+What no update can change is built once per call of `train`, `gradients`
+or `loss` (`_Batch`): θ, the readings and masks scattered onto the taps,
+one plan per turn, and every frozen layer's Jacobian cut to its live
+degrees (`TaylorMap._live`).  The plans run a fully trained layer on its
+full basis over its view of θ, and a corrector on the batch's own copy of
+its live coefficients, into which each new kick is written; a kick moves
+neither Jacobian nor penalty.  Each epoch rebuilds only the fully trained
+layers' maps from θ and, when fitted, the states and parameter values in
+the plans.  Corrector maps are built when `train` returns.
 """
 
 from __future__ import annotations
@@ -36,6 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +38,10 @@ from .basis import get_basis
 from .network import Network, TrackRecord, _Pass, _tap_rows
 from .polymap import ShapeError, TaylorMap, jacobian
 from .symplectic import _residual, _weight_gradient, symplectic_penalty
+
+ADAM_BETA1 = 0.9  # decay of Adam's first and second moment estimates (Kingma & Ba, 2015)
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8  # added to the root of the second moment before dividing
 
 
 class TrainingDivergence(RuntimeError):
@@ -55,9 +53,6 @@ class TrainingDivergence(RuntimeError):
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     clip_norm: float = 1.0
     epochs: int = 100
     sym_weight: float = 1.0
@@ -66,12 +61,14 @@ class TrainConfig:
     fit_parameters: bool = False  # treat bound parameter values like X0
 
     def validate(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
+        if not 0 < self.clip_norm < math.inf:
+            raise ValueError("clip_norm must be finite and > 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.sym_weight < 0:
-            raise ValueError("sym_weight must be >= 0")
+        if not 0 <= self.sym_weight < math.inf:
+            raise ValueError("sym_weight must be finite and >= 0")
 
 
 @dataclass
@@ -96,8 +93,8 @@ class TrainReport:
     me: list = field(default_factory=list)
     sym: list = field(default_factory=list)
     epochs: int = 0
-    x0: list = field(default_factory=list)  # fitted injection state, one per sample
-    params: list = field(default_factory=list)  # fitted {name: value}, one per sample
+    x0: list = field(default_factory=list)  # per sample; fitted ones if they were fitted
+    params: list = field(default_factory=list)  # {name: value} per sample, likewise
 
     def to_json(self) -> str:
         return json.dumps({"epochs": self.epochs, "loss": self.loss, "me": self.me,
@@ -116,23 +113,16 @@ def _trainable_indices(net: Network, config: TrainConfig | None = None) -> list[
 class _Batch:
     """What a `train`, `gradients` or `loss` call needs of its samples, built once per call.
 
-    Samples run in `order`, by descending turn count, so the samples still
-    running in turn t are the first `active[t]` columns.  `observed` and
-    `used` hold every sample's readings and mask scattered onto the
-    network's taps, `(n_turns, n_taps, 2, N)`, and `count` the number of
-    readings in play.  `plans[t]` is turn t's pass over those columns
-    (`network._Pass`); the first holds the injection states, and every plan
-    its columns' parameter values.  An epoch of `train` hands the plans the
-    trained layers' new matrices, and rewrites the states and parameter
-    values only when it fits them.
-
-    `full` lists the trainable layers that run on their full basis, because
-    every weight of theirs gets a gradient; `kicks` the trainable layers
-    whose mask covers only the constant column W0 (correctors), which move
-    neither their live degrees, their Jacobian nor their symplectic residual.
-    Every other layer, frozen or kick-only, runs on its live pair, and
-    `tape[li]` keeps its Jacobian up to its live degree - 1 (`_adjoint_layout`)
-    and `sym[li]` a kick-only layer's penalty, each filled on first use.
+    Samples run in `order`, by descending turn count, so those still running
+    in turn t are the `active[t]` columns of `plans[t]`.  `observed` and
+    `used` hold the readings and masks on the taps.  `grads` maps each
+    trainable layer, in layer order, to its gradient matrix, a view of
+    `dense`; θ's layer entries are `dense[pick]`.  `full` maps each layer
+    trained on every weight to its coefficients, a view of θ; `kicks` each
+    corrector to (kick row, index in θ, the plans' copy of its live
+    coefficients).  For every layer not in `full`, `tape[li]` keeps its
+    Jacobian below its live degree (`_adjoint_layout`) and `sym[li]` a
+    corrector's penalty, each filled on first use.
     """
 
     order: list
@@ -140,25 +130,35 @@ class _Batch:
     turns: list
     observed: np.ndarray
     used: np.ndarray
-    count: int
+    count: int  # readings in play
     plans: list
-    trainable: list
-    full: set
-    kicks: set
+    names: list  # the network's parameter names, in θ's order
+    theta: np.ndarray
+    grad: np.ndarray  # d loss / d θ, filled by `gradients`
+    x0s: np.ndarray  # θ's x0 rows, (N, n), or (N, 0) when not fitted; `x0_grad` alike in `grad`
+    values: np.ndarray  # θ's parameter rows, (N, n_names) or (N, 0); `param_grad` alike
+    x0_grad: np.ndarray
+    param_grad: np.ndarray
+    dense: np.ndarray
+    grads: dict
+    pick: np.ndarray
+    full: dict
+    kicks: dict
     tape: dict = field(default_factory=dict)
     sym: dict = field(default_factory=dict)
 
-    def refresh(self, x0s, params) -> None:
-        """Rewrite the injection states and parameter values, one entry per sample."""
-        self.plans[0].load(np.transpose([x0s[si] for si in self.order[:self.active[0]]]))
-        for k, plan in zip(self.active, self.plans):
-            plan.set_params([params[si] for si in self.order[:k]])
-
-    def update(self, li: int, tmap: TaylorMap) -> None:
-        """Run trainable layer li with its updated map from now on."""
-        coeffs = tmap.flat_coefficients() if li in self.full else tmap._live[1]
-        for plan in self.plans:
-            plan.set_coeffs(li, coeffs)
+    def install(self, net: Network) -> None:
+        """Hand θ's values on: kicks and fits to the plans, full layers' maps to `net`."""
+        for row, j, live in self.kicks.values():
+            live[row, 0] = self.theta[j]
+        for i, w in self.full.items():
+            tmap = net.layers[i].map
+            net.layers[i].map = TaylorMap.from_flat(w, tmap.n_in, tmap.order)
+        if self.x0s.size:
+            self.plans[0].load(self.x0s[self.order[:self.active[0]]].T)
+        if self.values.size:
+            for k, plan in zip(self.active, self.plans):
+                plan.set_params([dict(zip(self.names, v)) for v in self.values[self.order[:k]]])
 
 
 def _build_batch(net: Network, samples, config: TrainConfig | None) -> _Batch:
@@ -187,13 +187,43 @@ def _build_batch(net: Network, samples, config: TrainConfig | None) -> _Batch:
     count = int(used.sum())
     if count == 0:
         raise ValueError("no unmasked readings to train on")
+
     trainable = _trainable_indices(net, config)
-    kicks = {i for i in trainable if not net.layers[i].trainable_mask()[:, 1:].any()}
-    full = set(trainable) - kicks
+    names = net.param_names()
+    flats = [net.layers[i].map.flat_coefficients() for i in trainable]
+    masks = [net.layers[i].trainable_mask() for i in trainable]
+    starts = np.cumsum([0] + [f.size for f in flats])
+    pick = np.concatenate([np.zeros(0, dtype=np.intp)] +
+                          [s + np.flatnonzero(m) for m, s in zip(masks, starts)])
+    x0_at = pick.size
+    params_at = x0_at + n * len(samples) * bool(config and config.fit_initial_condition)
+    fit_params = bool(config and config.fit_parameters)
+    theta = np.zeros(params_at + len(names) * len(samples) * fit_params)
+    theta[:x0_at] = np.concatenate([np.zeros(0)] + [f.ravel() for f in flats])[pick]
+    grad = np.zeros_like(theta)
+    x0s, x0_grad = (vec[x0_at:params_at].reshape(len(samples), -1) for vec in (theta, grad))
+    values, param_grad = (vec[params_at:].reshape(len(samples), -1) for vec in (theta, grad))
+    if x0s.size:
+        x0s[order] = x.T
+    if values.size:  # a sample with no turns runs in no plan: its values are never read
+        values[:] = [[(s.params or {}).get(name, 0.0) for name in names] for s in samples]
+    dense = np.zeros(starts[-1])
+    grads, full, kicks, pairs = {}, {}, {}, {}
+    for i, f, mask, s in zip(trainable, flats, masks, starts):
+        grads[i] = dense[s:s + f.size].reshape(f.shape)
+        j = int(np.searchsorted(pick, s))  # θ's first entry of layer i
+        if mask[:, 1:].any():
+            full[i] = theta[j:j + f.size].reshape(f.shape)
+            pairs[i] = net.layers[i].map.basis, full[i]
+        else:
+            basis, live = net.layers[i].map._live
+            pairs[i] = basis, np.array(live)  # writeable: each new kick is written into it
+            kicks[i] = net.layers[i].kick_row, j, pairs[i][1]
     params = [samples[si].params for si in order]
-    plans = [_Pass(net, params[:k], k, full) for k in active]
+    plans = [_Pass(net, params[:k], k, pairs) for k in active]
     plans[0].load(x[:, :active[0]])
-    return _Batch(order, active, turns, observed, used, count, plans, trainable, full, kicks)
+    return _Batch(order, active, turns, observed, used, count, plans, names, theta,
+                  grad, x0s, values, x0_grad, param_grad, dense, grads, pick, full, kicks)
 
 
 def _adjoint_layout(tmap: TaylorMap, basis) -> tuple[np.ndarray, int]:
@@ -240,51 +270,43 @@ def loss(net: Network, samples, sym_weight: float = 1.0,
     """Returns (total, me, sym_penalty_sum)."""
     batch = _build_batch(net, samples, config)
     me = _forward_pass(net, batch)[0]
-    s = sum(symplectic_penalty(net.layers[i].map, net.state_dim) for i in batch.trainable)
+    s = sum(symplectic_penalty(net.layers[i].map, net.state_dim) for i in batch.grads)
     return me + sym_weight * s, me, s
 
 
 def gradients(net: Network, samples, sym_weight: float = 1.0,
               config: TrainConfig | None = None, _batch: _Batch | None = None):
-    """Exact gradients of the loss.
+    """Exact gradients of the loss: (grads, x0_grads, param_grads, me, sym).
 
-    Returns (grads, x0_grads, param_grads, me, sym) where grads maps a
-    trainable layer index to the gradient of its flat coefficient matrix
-    (same shape as `flat_coefficients()`), x0_grads is
-    one vector per sample (populated only when fit_initial_condition is set)
-    and param_grads is one {name: d loss / d value} dict per sample (populated
-    only when fit_parameters is set).
+    grads maps a trainable layer index to the gradient of its flat
+    coefficient matrix (zero off its `trainable_mask`), x0_grads is one
+    vector per sample (zero unless fit_initial_condition is set) and
+    param_grads one {name: d loss / d value} dict per sample (empty unless
+    fit_parameters is set).  The same values fill `_Batch.grad`, laid out
+    like θ, on which `train` steps.
 
-    The samples' readings, masks, states and parameters are scattered onto
-    the network's taps once per call, with one pass plan per turn
-    (`_build_batch`; `train` builds them once and passes them to every epoch
-    as `_batch`).  One forward pass runs all samples together on those plans
-    (`_forward_pass`); the adjoint then goes back through it, turn by turn
-    and layer by layer, as one `(n, N)` array, reading each layer's input
-    monomials from the plan's buffers.  Per
-    layer it is one Jᵀ·adj matmul over all samples (`_adjoint_layout`),
-    plus, for a layer trained on every weight, one weight-gradient product
-    `adj @ mono.T` on the forward monomials.  A frozen layer's Jacobian
-    layout is built once per batch, over its live degrees only, and so is a
-    kick-only layer's with its symplectic penalty; a fully trained layer's
-    is built each call from its map's cached Jacobian.
+    One forward pass runs all samples together on the batch's plans
+    (`train` builds the batch once and passes it to every epoch as
+    `_batch`); the adjoint goes back through it turn by turn and layer by
+    layer as one `(n, N)` array: one Jᵀ·adj matmul per layer
+    (`_adjoint_layout`) plus, for a layer trained on every weight, one
+    `adj @ mono.T`.  Frozen layers' and correctors' Jacobian layouts, and
+    correctors' penalties, are built once per batch; a fully trained
+    layer's comes each call from its map's cached Jacobian.
     """
     batch = _build_batch(net, samples, config) if _batch is None else _batch
-    fit_x0 = bool(config and config.fit_initial_condition)
-    fit_params = bool(config and config.fit_parameters)
     me, dreadings = _forward_pass(net, batch)
     n = net.state_dim
     read, cols = _tap_rows(n)
-    grads = {i: np.zeros_like(net.layers[i].map.flat_coefficients()) for i in batch.trainable}
+    batch.dense.fill(0.0)
     for li, layer in enumerate(net.layers):
         if li not in batch.full and li not in batch.tape:
             batch.tape[li] = _adjoint_layout(layer.map, layer.map._live[0])
     jts = [_adjoint_layout(l.map, l.map.basis) if li in batch.full else batch.tape[li]
            for li, l in enumerate(net.layers)]
-    names = net.param_names()
-    rows = [[names.index(p) for p in l.params] for l in net.layers]
+    rows = [[batch.names.index(p) for p in l.params] for l in net.layers]
     n_samples = len(batch.order)
-    dparams = np.zeros((len(names), n_samples))
+    dparams = np.zeros((len(batch.names), n_samples))
     adj = np.zeros((n, n_samples))
 
     for t in reversed(range(len(batch.active))):
@@ -299,26 +321,27 @@ def gradients(net: Network, samples, sym_weight: float = 1.0,
                 a[read] += dreadings[t][tap_i, cols]
             mono = monos[li]
             if li in batch.full:
-                grads[li] += a @ mono.T
+                batch.grads[li] += a @ mono.T
             elif li in batch.kicks:
-                grads[li][:, 0] += a.sum(axis=1)  # the constant monomial is 1
+                row = batch.kicks[li][0]
+                batch.grads[li][row, 0] += a[row].sum()  # the constant monomial is 1
             jt, p = jts[li]
             full = jt @ a if p == 1 else jt @ (a[:, None] * mono[:p]).reshape(-1, k)
-            if fit_params and layer.params:
+            if batch.param_grad.size and layer.params:
                 dparams[rows[li], :k] += full[n:]
             a = full[:n]
         adj[:, :k] = a
 
-    x0_grads = [np.zeros(n) for _ in batch.order]
-    param_grads = [{} for _ in batch.order]
-    for c, si in enumerate(batch.order):
-        if fit_x0:
-            x0_grads[si] = adj[:, c].copy()
-        if fit_params and batch.turns[si]:
-            param_grads[si] = {name: float(dparams[j, c]) for j, name in enumerate(names)}
+    if batch.x0_grad.size:
+        batch.x0_grad[batch.order] = adj.T
+    if batch.param_grad.size:
+        batch.param_grad[batch.order] = dparams.T
+    x0_grads = list(batch.x0_grad if batch.x0_grad.size else np.zeros((n_samples, n)))
+    param_grads = [dict(zip(batch.names, g.tolist())) if nt else {}
+                   for g, nt in zip(batch.param_grad, batch.turns)]
 
     s = 0.0
-    for i in batch.trainable:
+    for i in batch.grads:
         tmap = net.layers[i].map
         if i in batch.kicks:
             # W0 moves neither the residual nor the penalty; its gradient on W0 is exactly 0
@@ -329,87 +352,61 @@ def gradients(net: Network, samples, sym_weight: float = 1.0,
             residual, jd = _residual(tmap, n)
             s += float(np.sum(residual.coeffs ** 2))
             if sym_weight != 0.0:
-                grads[i] += sym_weight * _weight_gradient(tmap, residual, jd)
-        grads[i] *= net.layers[i].trainable_mask()
-    return grads, x0_grads, param_grads, me, s
+                batch.grads[i] += sym_weight * _weight_gradient(tmap, residual, jd)
+    np.take(batch.dense, batch.pick, out=batch.grad[:batch.pick.size])
+    return dict(batch.grads), x0_grads, param_grads, me, s
+
+
+def _adam_step(theta, g, m, v, step: int, learning_rate: float) -> tuple:
+    """One Adam step in place on θ from its gradient g; returns the new moments (m, v)."""
+    m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+    mhat = m / (1 - ADAM_BETA1 ** step)
+    vhat = v / (1 - ADAM_BETA2 ** step)
+    theta -= learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPSILON)
+    return m, v
 
 
 def train(net: Network, samples, config: TrainConfig) -> tuple[Network, TrainReport]:
     """Adam with global-norm gradient clipping; deterministic; leaves `samples` as they are.
 
-    The samples are scattered onto the network, and one pass plan per turn
-    built, once (`_build_batch`); an epoch hands the plans each trained
-    layer's new matrix, and rewrites the states and parameter values only
-    when it fits them.  A kick-only layer moves through
-    `TaylorMap.with_constant`, so its live pair and Jacobian carry over from
-    epoch to epoch.
+    Each epoch takes the gradient vector `gradients` fills, one clip norm
+    over it and one Adam step in place on θ (see the module docstring) with
+    one pair of moment vectors; the plans read the new weights through θ's
+    views and `_Batch.install` hands on the rest.  Corrector maps are built
+    on return through `TaylorMap.with_constant`, which keeps their caches.
     """
     config.validate()
     net = net.copy()  # maps are immutable; training replaces them on the copy's layers
     samples = list(samples)
-    x0s = [np.array(s.x0, dtype=np.float64) for s in samples]
-    pvals = [dict(s.params) if s.params else {} for s in samples]
-    report = TrainReport(epochs=config.epochs, x0=x0s, params=pvals)  # updated in place
-    trainable = _trainable_indices(net, config)
+    report = TrainReport(epochs=config.epochs,
+                         x0=[np.array(s.x0, dtype=np.float64) for s in samples],
+                         params=[dict(s.params) if s.params else {} for s in samples])
     if config.epochs == 0:
         return net, report
-    if not trainable and not config.fit_initial_condition and not config.fit_parameters:
+    if not (_trainable_indices(net, config) or config.fit_initial_condition or
+            config.fit_parameters):
         raise ValueError("no trainable layers selected")
     batch = _build_batch(net, samples, config)
-
-    moments = {}
-
-    def adam_update(key, theta, g, step):
-        if key in moments:
-            m, v = moments[key]
-        else:
-            m, v = np.zeros_like(theta), np.zeros_like(theta)
-        m = config.beta1 * m + (1 - config.beta1) * g
-        v = config.beta2 * v + (1 - config.beta2) * g * g
-        moments[key] = (m, v)
-        mhat = m / (1 - config.beta1 ** step)
-        vhat = v / (1 - config.beta2 ** step)
-        return theta - config.learning_rate * mhat / (np.sqrt(vhat) + config.epsilon)
-
+    m, v = np.zeros_like(batch.theta), np.zeros_like(batch.theta)
     for epoch in range(config.epochs):
-        grads, x0_grads, param_grads, me, sym = gradients(net, samples, config.sym_weight,
-                                                          config, _batch=batch)
+        _, _, _, me, sym = gradients(net, samples, config.sym_weight, config, _batch=batch)
         total = me + config.sym_weight * sym
         if not np.isfinite(total):
             raise TrainingDivergence(epoch)
         report.loss.append(total)
         report.me.append(me)
         report.sym.append(sym)
-
-        gnorm_sq = sum(float(np.sum(g ** 2)) for g in grads.values())
-        if config.fit_initial_condition:
-            gnorm_sq += sum(float(np.sum(g ** 2)) for g in x0_grads)
-        if config.fit_parameters:
-            gnorm_sq += sum(g * g for pg in param_grads for g in pg.values())
-        gnorm = np.sqrt(gnorm_sq)
+        gnorm = np.sqrt(np.sum(batch.grad ** 2))
         scale = min(1.0, config.clip_norm / gnorm) if gnorm > 0 else 1.0
-
-        step = epoch + 1
-        for i in trainable:
-            m = net.layers[i].map
-            if i in batch.kicks:
-                w0 = adam_update(i, m.flat_coefficients()[:, 0], scale * grads[i][:, 0], step)
-                net.layers[i].map = m.with_constant(w0)
-            else:
-                w = adam_update(i, m.flat_coefficients(), scale * grads[i], step)
-                net.layers[i].map = TaylorMap.from_flat(w, m.n_in, m.order)
-            batch.update(i, net.layers[i].map)
-        if config.fit_initial_condition:
-            for si in range(len(samples)):
-                x0s[si] = adam_update(("x0", si), x0s[si], scale * x0_grads[si], step)
-        if config.fit_parameters:
-            for si, pg in enumerate(param_grads):
-                for name, g in pg.items():
-                    new = adam_update(("param", si, name),
-                                      np.float64(pvals[si][name]), scale * g, step)
-                    pvals[si][name] = float(new)
-        if config.fit_initial_condition or config.fit_parameters:
-            batch.refresh(x0s, pvals)
+        m, v = _adam_step(batch.theta, scale * batch.grad, m, v, epoch + 1, config.learning_rate)
+        batch.install(net)
+    for i, (_, _, live) in batch.kicks.items():
+        net.layers[i].map = net.layers[i].map.with_constant(live[:, 0])
+    if batch.x0s.size:
+        report.x0 = list(batch.x0s.copy())
+    for params, fitted, nt in zip(report.params, batch.values, batch.turns):
+        params.update(zip(batch.names, fitted.tolist()) if nt else ())
     return net, report
 
 

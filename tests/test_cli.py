@@ -168,6 +168,20 @@ def test_train_report_carries_fitted_x0(tmp_path):
     assert len(fitted) == 1 and fitted[0] != [1.1e-3, 0, 0, 0]
 
 
+@pytest.mark.parametrize("flag, value, name", [("--clip-norm", "-1", "clip_norm"),
+                                              ("--clip-norm", "0", "clip_norm"),
+                                              ("--lr", "nan", "learning_rate"),
+                                              ("--sym-weight", "nan", "sym_weight")])
+def test_bad_training_setting_is_input_error(tmp_path, capsys, flag, value, name):
+    model, data, x0 = _train_inputs(tmp_path)
+    out = tmp_path / "m2.json"
+    assert run("train", model, "--data", data, "--x0-json", x0, "--epochs", "5",
+               "--trainable", "bpm", flag, value, "-o", out) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_correct_pipeline_reduces_orbit(tmp_path):
     ideal_lat = tmp_path / "ideal.lat"
     ideal_lat.write_text(transfer_line_text(bad_dx=0.0))

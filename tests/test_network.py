@@ -165,7 +165,8 @@ def test_column_plan_matches_one_state_forwards(rng, name, full):
     # the parametric ring gets a different strength in every column
     col_params = [None if params is None else {k: v + 0.01 * c for k, v in params.items()}
                   for c in range(n_cols)]
-    plan = _Pass(net, col_params, n_cols, range(len(net.layers)) if full else ())
+    pairs = {li: (l.map.basis, l.map.flat_coefficients()) for li, l in enumerate(net.layers)}
+    plan = _Pass(net, col_params, n_cols, pairs if full else None)
     plan.load(x0)
     plan.run()
     rows, cols = _tap_rows(net.state_dim)

@@ -164,6 +164,20 @@ def test_zero_epochs_leaves_weights_bit_identical():
             assert np.array_equal(wa.view(np.uint64), wb.view(np.uint64))
 
 
+@pytest.mark.parametrize("name, value", [("clip_norm", -1.0), ("clip_norm", 0.0),
+                                         ("clip_norm", np.inf), ("clip_norm", np.nan),
+                                         ("learning_rate", 0.0), ("learning_rate", np.nan),
+                                         ("learning_rate", np.inf), ("sym_weight", -1.0),
+                                         ("sym_weight", np.nan), ("sym_weight", np.inf)])
+def test_bad_training_settings_rejected(name, value):
+    net = _ring()
+    config = TrainConfig(epochs=3, trainable_labels=["bpm"], **{name: value})
+    with pytest.raises(ValueError, match=name):
+        config.validate()
+    with pytest.raises(ValueError, match=name):
+        train(net, [_sample(net)], config)
+
+
 def test_no_trainable_selection_rejected():
     net = _ring()
     with pytest.raises(ValueError):
@@ -293,12 +307,12 @@ def _block_adam_reference(net, samples, config):
 
     def adam_update(key, theta, g, step):
         m, v = moments.get(key, (np.zeros_like(theta), np.zeros_like(theta)))
-        m = config.beta1 * m + (1 - config.beta1) * g
-        v = config.beta2 * v + (1 - config.beta2) * g * g
+        m = training.ADAM_BETA1 * m + (1 - training.ADAM_BETA1) * g
+        v = training.ADAM_BETA2 * v + (1 - training.ADAM_BETA2) * g * g
         moments[key] = (m, v)
-        mhat = m / (1 - config.beta1 ** step)
-        vhat = v / (1 - config.beta2 ** step)
-        return theta - config.learning_rate * mhat / (np.sqrt(vhat) + config.epsilon)
+        mhat = m / (1 - training.ADAM_BETA1 ** step)
+        vhat = v / (1 - training.ADAM_BETA2 ** step)
+        return theta - config.learning_rate * mhat / (np.sqrt(vhat) + training.ADAM_EPSILON)
 
     for epoch in range(config.epochs):
         flat, _, _, _, _ = gradients(net, samples, config.sym_weight, config)
@@ -519,12 +533,12 @@ def _epoch_loop_reference(net, samples, config):
 
     def adam_update(key, theta, g, step):
         m, v = moments.get(key, (np.zeros_like(theta), np.zeros_like(theta)))
-        m = config.beta1 * m + (1 - config.beta1) * g
-        v = config.beta2 * v + (1 - config.beta2) * g * g
+        m = training.ADAM_BETA1 * m + (1 - training.ADAM_BETA1) * g
+        v = training.ADAM_BETA2 * v + (1 - training.ADAM_BETA2) * g * g
         moments[key] = (m, v)
-        mhat = m / (1 - config.beta1 ** step)
-        vhat = v / (1 - config.beta2 ** step)
-        return theta - config.learning_rate * mhat / (np.sqrt(vhat) + config.epsilon)
+        mhat = m / (1 - training.ADAM_BETA1 ** step)
+        vhat = v / (1 - training.ADAM_BETA2 ** step)
+        return theta - config.learning_rate * mhat / (np.sqrt(vhat) + training.ADAM_EPSILON)
 
     for epoch in range(config.epochs):
         current = [replace(s, x0=x0, params=dict(pv)) for s, x0, pv in zip(samples, x0s, pvals)]
@@ -621,6 +635,38 @@ def test_kick_only_layers_build_their_caches_once_per_call(monkeypatch):
     # a second call reuses every map's Jacobian and builds each corrector's residual once
     train(net, [sample], cfg)
     assert len(jacobians) == len(net.layers) and len(residuals) == 2 * len(names)
+
+
+def test_kick_only_training_builds_each_corrector_map_once(monkeypatch):
+    """Ten correctors for 8 epochs: one Adam step per epoch on θ, one new map per corrector."""
+    net = build(achromat_text({}), merge="minimal")
+    machine = build(achromat_text({i: 5e-5 * (-1) ** i for i in range(1, 11)}), merge="minimal")
+    sample = TrainSample(np.zeros(4), track_turns(machine, np.zeros(4), 1, aperture=1e9),
+                         params={})
+    names = [f"c{i}" for i in range(1, 11)]
+    cfg = TrainConfig(epochs=8, learning_rate=1e-5, clip_norm=1e-2, sym_weight=1.0,
+                      trainable_labels=names)
+    built, steps = [], []
+    with_constant, adam_step = polymap.TaylorMap.with_constant, training._adam_step
+
+    def counted_with_constant(tmap, w0):
+        built.append(tmap)
+        return with_constant(tmap, w0)
+
+    def counted_adam_step(theta, *args):
+        steps.append(theta.size)
+        return adam_step(theta, *args)
+
+    monkeypatch.setattr(polymap.TaylorMap, "with_constant", counted_with_constant)
+    monkeypatch.setattr(training, "_adam_step", counted_adam_step)
+    trained, _ = train(net, [sample], cfg)
+    assert len(built) <= len(names)
+    assert steps == [len(names)] * cfg.epochs  # θ holds one entry per kick
+    monkeypatch.undo()
+    reference, _, _ = _epoch_loop_reference(net, [sample], cfg)
+    got, want = get_kicks(trained), get_kicks(reference)
+    for name in names:
+        assert _close(got[name], want[name]) and got[name] != 0.0, name
 
 
 def test_adam_correction_sample_matches_per_sample_reference():
