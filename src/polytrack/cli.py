@@ -202,6 +202,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_correct(args) -> int:
+    if not 0 < args.c_max < math.inf:
+        raise CliError(f"--c-max must be finite and > 0, got {args.c_max!r}")
     net = _load_net(args.model)
     try:
         observed = network.TrackRecord.from_csv(_read(args.observed))

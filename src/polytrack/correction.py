@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .network import Network, TrackRecord, forward
+from .network import Layer, Network, TrackRecord, forward
 from .training import TrainConfig, TrainSample, train
 
 
@@ -41,12 +41,9 @@ class MachineSim:
 
 def simulate_readings(sim: MachineSim, x0, params=None) -> TrackRecord:
     """Single-pass readings of the machine; optional Gaussian BPM noise."""
-    net = sim.network
-    _, taps = forward(net, x0, params)
-    labels = net.tap_labels()
-    rec = TrackRecord.empty(labels, 1)
-    for j, label in enumerate(labels):
-        rec.readings[0, j] = taps[label]
+    _, taps = forward(sim.network, x0, params)
+    rec = TrackRecord.empty(taps, 1)
+    rec.readings[0] = np.reshape(list(taps.values()), (-1, 2))
     if sim.noise_sigma > 0:
         rec.readings += sim._rng.normal(0.0, sim.noise_sigma, rec.readings.shape)
     return rec
@@ -76,12 +73,17 @@ def get_kicks(net: Network) -> dict:
             for l in net.layers if l.kind in ("hcorrector", "vcorrector")}
 
 
+def _kicked(layer: Layer, tmap, kick: float):
+    """`tmap` with the corrector layer's kick set to `kick`; keeps the live pair and the Jacobian."""
+    w0 = np.array(tmap.flat_coefficients()[:, 0])
+    w0[layer.kick_row] = kick
+    return tmap.with_constant(w0)
+
+
 def set_kicks(net: Network, kicks: dict) -> None:
     for layer in net.layers:
         if layer.label in kicks and layer.kind in ("hcorrector", "vcorrector"):
-            w0 = np.array(layer.map.flat_coefficients()[:, 0])
-            w0[layer.kick_row] = kicks[layer.label]
-            layer.map = layer.map.with_constant(w0)  # keeps the live pair and the Jacobian
+            layer.map = _kicked(layer, layer.map, kicks[layer.label])
 
 
 @dataclass
@@ -104,20 +106,30 @@ class CorrectionResult:
 
 def _model_taps(net: Network, x0) -> np.ndarray:
     _, taps = forward(net, x0)
-    return np.array([taps[l] for l in net.tap_labels()])
+    return np.array(list(taps.values()))
 
 
-def response_matrix(net: Network, x0, corrector_names, mask_flat, delta=1e-6) -> np.ndarray:
-    """d(masked readings)/d(kick), measured on the model network."""
+def response_matrix(net: Network, x0, corrector_names, mask_flat) -> np.ndarray:
+    """d(masked readings)/d(kick), measured on the model network by central differences.
+
+    Each kick moves through its layer's own map, and the layer gets its
+    original map object back afterwards, also when a forward raises.
+    """
+    delta = 1e-6
     cols = []
-    base_kicks = get_kicks(net)
     for name in corrector_names:
-        set_kicks(net, {name: base_kicks[name] + delta})
-        hi = _model_taps(net, x0).ravel()[mask_flat]
-        set_kicks(net, {name: base_kicks[name] - delta})
-        lo = _model_taps(net, x0).ravel()[mask_flat]
-        set_kicks(net, {name: base_kicks[name]})
-        cols.append((hi - lo) / (2 * delta))
+        group = [(layer, layer.map) for layer in net.layers
+                 if layer.label == name and layer.kind in ("hcorrector", "vcorrector")]
+        taps = []
+        try:
+            for step in (delta, -delta):
+                for layer, tmap in group:
+                    layer.map = _kicked(layer, tmap, tmap.flat_coefficients()[layer.kick_row, 0] + step)
+                taps.append(_model_taps(net, x0).ravel()[mask_flat])
+        finally:
+            for layer, tmap in group:
+                layer.map = tmap
+        cols.append((taps[0] - taps[1]) / (2 * delta))
     return np.stack(cols, axis=1)
 
 
@@ -128,8 +140,11 @@ def correct_orbit(net: Network, observed: TrackRecord, mask=None, x0=None,
 
     The observed readings are assumed affine in the kicks with the model
     network providing the response; the returned network has the kicks
-    installed.  Raises ValueError if `observed` lacks one of the model's BPMs.
+    installed.  Raises ValueError if `observed` lacks one of the model's BPMs,
+    or if `c_max` is not finite and > 0.
     """
+    if not 0 < c_max < np.inf:
+        raise ValueError(f"c_max must be finite and > 0, got {c_max!r}")
     net = net.copy()
     names = corrector_labels(net)
     if not names:
@@ -214,8 +229,11 @@ def thread_beam(sim: MachineSim, net: Network, x0=None, max_iterations: int = 10
     Each iteration measures with loss flagging, corrects the valid part of
     the orbit using correctors upstream of the loss point, and installs the
     kicks on the machine only if the masked RMS improves (otherwise the kick
-    step is halved).  Returns a per-iteration log.
+    step is halved, up to 8 trials).  Returns a per-iteration log: whether a
+    step from that measurement was kept (`accepted`), and at what `step_scale`.
     """
+    if not 0 < c_max < np.inf:
+        raise ValueError(f"c_max must be finite and > 0, got {c_max!r}")
     if x0 is None:
         x0 = np.zeros(sim.network.state_dim)
     log = []
@@ -230,7 +248,7 @@ def thread_beam(sim: MachineSim, net: Network, x0=None, max_iterations: int = 10
             np.abs(rec.readings[0][rec.valid[0]]) > sim.aperture)
         rms = rec.rms()
         log.append({"iteration": it, "n_valid": n_valid, "rms": rms,
-                    "accepted": True, "stagnation": False})
+                    "accepted": False, "step_scale": 0.0, "stagnation": False})
         if clean:
             break
         if it == max_iterations:
@@ -248,14 +266,12 @@ def thread_beam(sim: MachineSim, net: Network, x0=None, max_iterations: int = 10
             log[-1]["stagnation"] = True
             break
         # least-squares kicks on the valid readings, accept-if-improved
-        labels = model.tap_labels()
         mask_flat = rec.valid[0].ravel()
         target = rec.readings[0].ravel()[mask_flat]
         resp = response_matrix(model, x0, upstream, mask_flat)
         dc, *_ = np.linalg.lstsq(resp, -target, rcond=None)
         base = get_kicks(sim.network)
         scale = 1.0
-        accepted = False
         for _ in range(8):
             trial = {n: float(np.clip(base[n] + scale * d, -c_max, c_max))
                      for n, d in zip(upstream, dc)}
@@ -266,11 +282,11 @@ def thread_beam(sim: MachineSim, net: Network, x0=None, max_iterations: int = 10
             old_rms = float(np.sqrt(np.mean(target ** 2)))
             new_rms = float(np.sqrt(np.mean(new_masked ** 2)))
             if new_rms < old_rms and int(new_rec.valid[0, :, 0].sum()) >= n_valid:
-                accepted = True
+                log[-1].update(accepted=True, step_scale=scale)
                 break
             set_kicks(sim.network, base)
             set_kicks(model, base)
             scale *= 0.5
-        if not accepted:
+        else:
             stagnant += 1
     return log

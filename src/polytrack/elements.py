@@ -274,8 +274,8 @@ def ode_to_map(rhs: OdeRhs, length: float, order: int, rk4_steps: int) -> Taylor
 
 
 def element_map(spec: ElementSpec, n: int = 4, order: int = 2,
-                sextupole_slices: int = 4, paper_compat: bool = False) -> TaylorMap:
-    """Build the map of one element, misalignment included."""
+                paper_compat: bool = False) -> TaylorMap:
+    """Build the map of one element, misalignment included; a sextupole takes 4 slices."""
     spec.validate()
     k = spec.kind
     if k in ("monitor", "marker"):
@@ -291,7 +291,7 @@ def element_map(spec: ElementSpec, n: int = 4, order: int = 2,
     elif k == "sbend":
         m = sbend_map(spec.length, spec.angle, n, order)
     elif k == "sextupole":
-        m = sextupole_map(spec.length, spec.k2, n, order, sextupole_slices)
+        m = sextupole_map(spec.length, spec.k2, n, order)
     elif k == "hcorrector":
         m = corrector_map(kick_x=spec.kick, n=n, order=order)
     elif k == "vcorrector":

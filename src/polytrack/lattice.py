@@ -9,6 +9,8 @@ Kinds: drift, quadrupole, sbend, sextupole, hcorrector, vcorrector,
 monitor, marker.  Attributes: l, k1, k2, angle, kick, dx, dy, parametric,
 and `at` (monitors only: offset into the directly preceding drift, consumed
 by `split_at_monitors`).  `#` starts a comment that runs to end of line.
+A lattice describes 4-D transverse motion; `plan_segments` groups it into
+the list of `Segment`s that `network.build_network` turns into layers.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ class LatticeDoc:
     sequence: list  # element names in beamline order
     name: str = "ring"
     ring: bool = False
-    dim: int = 4
 
     def elements(self) -> list[ElementSpec]:
         return [self.definitions[n] for n in self.sequence]
@@ -234,7 +235,7 @@ def split_at_monitors(doc: LatticeDoc) -> LatticeDoc:
             defs[piece.name] = piece
         defs[name] = flat
         seq.extend([up.name, name, down.name])
-    return LatticeDoc(defs, seq, name=doc.name, ring=doc.ring, dim=doc.dim)
+    return LatticeDoc(defs, seq, name=doc.name, ring=doc.ring)
 
 
 @dataclass
@@ -248,42 +249,17 @@ class Segment:
     kind: str = "map"  # map | hcorrector | vcorrector | parametric
 
 
-@dataclass
-class SegmentPlan:
-    segments: list
+def plan_segments(doc: LatticeDoc, merge_policy: str = "minimal") -> list[Segment]:
+    """Group the element sequence into network layers, one walk for both policies.
 
-    def __len__(self):
-        return len(self.segments)
-
-
-_CONTROL = ("hcorrector", "vcorrector")
-
-
-def plan_segments(doc: LatticeDoc, merge_policy: str = "minimal") -> SegmentPlan:
-    """Group the element sequence into network layers.
-
-    policy 'per_element': one segment per element (monitors become identity
-    segments carrying the tap).  policy 'minimal': merge everything between
-    BPMs, keeping control elements (correctors, parametric magnets) as their
-    own trainable segments.
+    Correctors become trainable segments and parametric magnets segments of
+    their own; a monitor closes a tapped segment named after it.  Policy
+    'minimal' merges the plain elements between them into spans, policy
+    'per_element' flushes a segment named after each plain element.
     """
     if merge_policy not in ("minimal", "per_element"):
         raise ValueError(f"unknown merge policy '{merge_policy}'")
     segs: list[Segment] = []
-    if merge_policy == "per_element":
-        for name in doc.sequence:
-            spec = doc.definitions[name]
-            seg = Segment([name], label=name)
-            if spec.kind == "monitor":
-                seg.tap = True
-            elif spec.kind in _CONTROL:
-                seg.trainable = True
-                seg.kind = spec.kind
-            elif spec.parametric:
-                seg.kind = "parametric"
-            segs.append(seg)
-        return SegmentPlan(segs)
-
     pending: list[str] = []
     n_span = 0
 
@@ -299,7 +275,7 @@ def plan_segments(doc: LatticeDoc, merge_policy: str = "minimal") -> SegmentPlan
         if spec.kind == "monitor":
             pending.append(name)
             flush(tap=True, label=name)
-        elif spec.kind in _CONTROL:
+        elif spec.kind in ("hcorrector", "vcorrector"):
             flush()
             segs.append(Segment([name], trainable=True, label=name, kind=spec.kind))
         elif spec.parametric:
@@ -307,5 +283,7 @@ def plan_segments(doc: LatticeDoc, merge_policy: str = "minimal") -> SegmentPlan
             segs.append(Segment([name], label=name, kind="parametric"))
         else:
             pending.append(name)
+            if merge_policy == "per_element":
+                flush(label=name)
     flush()
-    return SegmentPlan(segs)
+    return segs

@@ -64,16 +64,18 @@ class Layer:
 @dataclass(eq=False)
 class Network:
     layers: list
-    state_dim: int
-    order: int
+    state_dim: int = field(init=False)  # both from the first layer's map; all layers must agree
+    order: int = field(init=False)
 
     def __post_init__(self):
         if not self.layers:
             raise ValueError("network needs at least one layer")
+        self.state_dim, self.order = self.layers[0].map.n_out, self.layers[0].map.order
         for i, layer in enumerate(self.layers):
             m = layer.map
-            if m.n_out != self.state_dim:
-                raise ValueError(f"layer {i} ('{layer.label}') outputs {m.n_out}, expected {self.state_dim}")
+            if m.n_out != self.state_dim or m.order != self.order:
+                raise ValueError(f"layer {i} ('{layer.label}') has {m.n_out} outputs at order {m.order}, "
+                                 f"expected {self.state_dim} at order {self.order}")
             if m.n_in != self.state_dim + len(layer.params):
                 raise ValueError(f"layer {i} ('{layer.label}') takes {m.n_in} inputs, "
                                  f"expected {self.state_dim}+{len(layer.params)} params")
@@ -86,7 +88,7 @@ class Network:
         return [l.label for l in self.layers if l.tap]
 
     def copy(self) -> "Network":
-        return Network([replace(l) for l in self.layers], self.state_dim, self.order)
+        return Network([replace(l) for l in self.layers])
 
     def param_names(self) -> list[str]:
         seen = []
@@ -133,14 +135,14 @@ class _Pass:
     layer's buffer; the last layer writes into `state_out`, which is not
     `state_in`, so a one-layer ring never reads what it writes.  `taps`
     holds the tapped layers' outputs and `monos` each layer's monomials,
-    both as of the last run.  The values and the arithmetic are those of
-    `evaluate` layer by layer.
+    both as of the last run; `labels` holds the tapped layers' labels.
+    The values and the arithmetic are those of `evaluate` layer by layer.
     """
 
     def __init__(self, net: Network, params=None, columns: int | None = None, pairs=None):
         n = net.state_dim
         self.state_out = out = np.empty(n if columns is None else (n, columns))
-        self.layers, self.taps, self._params = [], [], []
+        self.layers, self.taps, self.labels, self._params = [], [], [], []
         li = len(net.layers)
         for layer in reversed(net.layers):  # each layer's output is the next one's input slots
             li -= 1
@@ -156,9 +158,11 @@ class _Pass:
             self.layers.append((grow, coeffs, live, out))
             if layer.tap:
                 self.taps.append(out)
+                self.labels.append(layer.label)
             out = mono[1:1 + n]
         self.layers.reverse()
         self.taps.reverse()
+        self.labels.reverse()
         self.state_in = out  # the first layer's state slots
         if self._params:
             self.set_params(params)
@@ -204,7 +208,7 @@ def forward(net: Network, x0, params=None):
     plan = _Pass(net, params)
     plan.load(x0)
     plan.run()
-    return plan.state_out, dict(zip(net.tap_labels(), plan.readings()))
+    return plan.state_out, dict(zip(plan.labels, plan.readings()))
 
 
 def forward_batch(net: Network, x0s, params=None):
@@ -248,11 +252,10 @@ def one_turn_map(net: Network, params=None) -> TaylorMap:
 
 def build_network(doc: LatticeDoc, order: int = 2, merge_policy: str = "minimal",
                   paper_compat: bool = False) -> Network:
-    """Build layer maps from a monitor-split lattice document."""
-    plan = plan_segments(doc, merge_policy)
-    n = doc.dim
+    """Build 4-D (x, x', y, y') layer maps from a monitor-split lattice document."""
+    n = 4
     layers = []
-    for seg in plan.segments:
+    for seg in plan_segments(doc, merge_policy):
         if seg.kind == "parametric":
             spec = doc.definitions[seg.element_names[0]]
             m = elem.element_map(spec, n, order, paper_compat=paper_compat)
@@ -264,7 +267,7 @@ def build_network(doc: LatticeDoc, order: int = 2, merge_policy: str = "minimal"
         m = compose_chain(maps) if maps else TaylorMap.identity(n, order)
         layers.append(Layer(m, tap=seg.tap, trainable=seg.trainable,
                             label=seg.label, kind=seg.kind))
-    return Network(layers, state_dim=n, order=order)
+    return Network(layers)
 
 
 # -- serialization --------------------------------------------------------------
@@ -321,7 +324,7 @@ def load_model(data: bytes) -> Network:
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"layer {i}: {exc}") from exc
     try:
-        return Network(layers, state_dim=state_dim, order=order)
+        return Network(layers)
     except (TypeError, ValueError) as exc:  # no layers, duplicate or unhashable tap labels
         raise ModelFormatError(str(exc)) from exc
 

@@ -1,9 +1,11 @@
 """Symplectic residual and penalty for truncated polynomial maps.
 
 For a map M with Jacobian D(X0) the residual is D^T J D - J, expanded as
-polynomials in X0.  The penalty is the sum of squares of all coefficients
-of that expansion, so it does not depend on inputs: it vanishes exactly
-when the map is symplectic as a polynomial identity up to its own degree.
+polynomials in X0; J is the interleaved form over the map's outputs, and
+inputs beyond them are frozen parameters.  The penalty is the sum of squares
+of all coefficients of that expansion, so it does not depend on inputs: it
+vanishes exactly when the map is symplectic as a polynomial identity up to
+its own degree.
 
 The expansion sums every product of a coefficient of D with one of J D onto
 the monomial the basis product table gives for that pair.  The penalty
@@ -31,24 +33,21 @@ def _interleaved_form(dim: int) -> np.ndarray:
     return j
 
 
-def _check(tmap: TaylorMap, phase_dim: int | None) -> int:
-    pd = tmap.n_out if phase_dim is None else phase_dim
-    if pd % 2:
+def _check(tmap: TaylorMap) -> int:
+    if tmap.n_out % 2:
         raise ValueError("phase-space dimension must be even")
-    if tmap.n_out != pd:
-        raise ValueError(f"map outputs {tmap.n_out} coordinates, expected {pd}")
-    if tmap.n_in < pd:
+    if tmap.n_in < tmap.n_out:
         raise ValueError("map has fewer inputs than phase-space coordinates")
-    return pd
+    return tmap.n_out
 
 
-def _residual(tmap: TaylorMap, phase_dim: int | None) -> tuple[PolyMatrix, np.ndarray]:
+def _residual(tmap: TaylorMap) -> tuple[PolyMatrix, np.ndarray]:
     """The residual D^T J D - J and the product J D, each built once.
 
     D[i, a, p] is the p-th coefficient of d(output i)/d(input a); every
     product D[:, a, p] . (J D)[:, b, p'] lands on monomial product_table[p, p'].
     """
-    pd = _check(tmap, phase_dim)
+    pd = _check(tmap)
     j = _interleaved_form(pd)
     d = jacobian(tmap, wrt=pd).coeffs  # (pd, pd, nsrc) over basis(n_in, k-1)
     jd = np.einsum("ij,jbp->ibp", j, d)
@@ -77,24 +76,24 @@ def _weight_gradient(tmap: TaylorMap, residual: PolyMatrix, jd: np.ndarray) -> n
     return flat
 
 
-def symplectic_residual(tmap: TaylorMap, phase_dim: int | None = None) -> PolyMatrix:
+def symplectic_residual(tmap: TaylorMap) -> PolyMatrix:
     """Coefficients of D^T J D - J over the degree-2(k-1) basis.
 
-    Trailing inputs beyond `phase_dim` are treated as frozen parameters: the
+    Inputs beyond the map's `n_out` outputs are frozen parameters: the
     Jacobian is taken only with respect to phase-space coordinates, and the
     parameter symbols stay inside the coefficients.
     """
-    return _residual(tmap, phase_dim)[0]
+    return _residual(tmap)[0]
 
 
-def symplectic_penalty(tmap: TaylorMap, phase_dim: int | None = None) -> float:
+def symplectic_penalty(tmap: TaylorMap) -> float:
     """Sum of squares of all residual coefficients (input-independent)."""
-    return float(np.sum(symplectic_residual(tmap, phase_dim).coeffs ** 2))
+    return float(np.sum(symplectic_residual(tmap).coeffs ** 2))
 
 
-def penalty_gradient(tmap: TaylorMap, phase_dim: int | None = None) -> np.ndarray:
+def penalty_gradient(tmap: TaylorMap) -> np.ndarray:
     """d(penalty)/d(weight entry), laid out like `tmap.flat_coefficients()`.
 
     The constant column (W0) is zero: the penalty depends on the Jacobian only.
     """
-    return _weight_gradient(tmap, *_residual(tmap, phase_dim))
+    return _weight_gradient(tmap, *_residual(tmap))

@@ -1,7 +1,8 @@
 """Fine-tuning of network weights on observed trajectories.
 
-Loss = mean squared error over unmasked tap readings plus a weighted sum of
-symplectic penalties of the trainable layers.  Gradients are exact reverse
+Loss = mean squared error over unmasked tap readings plus the trainable
+layers' symplectic penalties times λ, the `sym_weight` of the same
+`TrainConfig` that holds every other setting.  Gradients are exact reverse
 accumulation through the layer Jacobians, on the pass plan that sends one
 state through the network (`network._Pass`), here with one particles-last
 column per sample still running; a masked reading adds exactly nothing,
@@ -102,8 +103,8 @@ class TrainReport:
                            "params": self.params}, indent=1)
 
 
-def _trainable_indices(net: Network, config: TrainConfig | None = None) -> list[int]:
-    if config is not None and config.trainable_labels is not None:
+def _trainable_indices(net: Network, config: TrainConfig) -> list[int]:
+    if config.trainable_labels is not None:
         wanted = set(config.trainable_labels)
         return [i for i, l in enumerate(net.layers) if l.label in wanted]
     return [i for i, l in enumerate(net.layers) if l.trainable]
@@ -161,7 +162,7 @@ class _Batch:
                 plan.set_params([dict(zip(self.names, v)) for v in self.values[self.order[:k]]])
 
 
-def _build_batch(net: Network, samples, config: TrainConfig | None) -> _Batch:
+def _build_batch(net: Network, samples, config: TrainConfig) -> _Batch:
     labels = net.tap_labels()
     n = net.state_dim
     turns = [s.observed.n_turns for s in samples]
@@ -196,9 +197,8 @@ def _build_batch(net: Network, samples, config: TrainConfig | None) -> _Batch:
     pick = np.concatenate([np.zeros(0, dtype=np.intp)] +
                           [s + np.flatnonzero(m) for m, s in zip(masks, starts)])
     x0_at = pick.size
-    params_at = x0_at + n * len(samples) * bool(config and config.fit_initial_condition)
-    fit_params = bool(config and config.fit_parameters)
-    theta = np.zeros(params_at + len(names) * len(samples) * fit_params)
+    params_at = x0_at + n * len(samples) * bool(config.fit_initial_condition)
+    theta = np.zeros(params_at + len(names) * len(samples) * bool(config.fit_parameters))
     theta[:x0_at] = np.concatenate([np.zeros(0)] + [f.ravel() for f in flats])[pick]
     grad = np.zeros_like(theta)
     x0s, x0_grad = (vec[x0_at:params_at].reshape(len(samples), -1) for vec in (theta, grad))
@@ -265,25 +265,25 @@ def _forward_pass(net: Network, batch: _Batch) -> tuple[float, list]:
     return sq_sum / batch.count, dreadings
 
 
-def loss(net: Network, samples, sym_weight: float = 1.0,
-         config: TrainConfig | None = None) -> tuple[float, float, float]:
-    """Returns (total, me, sym_penalty_sum)."""
+def loss(net: Network, samples, config: TrainConfig | None = None) -> tuple[float, float, float]:
+    """Returns (total, me, sym_penalty_sum); λ is `config.sym_weight`, and None means `TrainConfig()`."""
+    config = TrainConfig() if config is None else config
     batch = _build_batch(net, samples, config)
     me = _forward_pass(net, batch)[0]
-    s = sum(symplectic_penalty(net.layers[i].map, net.state_dim) for i in batch.grads)
-    return me + sym_weight * s, me, s
+    s = sum(symplectic_penalty(net.layers[i].map) for i in batch.grads)
+    return me + config.sym_weight * s, me, s
 
 
-def gradients(net: Network, samples, sym_weight: float = 1.0,
-              config: TrainConfig | None = None, _batch: _Batch | None = None):
+def gradients(net: Network, samples, config: TrainConfig | None = None,
+              _batch: _Batch | None = None):
     """Exact gradients of the loss: (grads, x0_grads, param_grads, me, sym).
 
-    grads maps a trainable layer index to the gradient of its flat
-    coefficient matrix (zero off its `trainable_mask`), x0_grads is one
-    vector per sample (zero unless fit_initial_condition is set) and
-    param_grads one {name: d loss / d value} dict per sample (empty unless
-    fit_parameters is set).  The same values fill `_Batch.grad`, laid out
-    like θ, on which `train` steps.
+    λ is `config.sym_weight`, and None means `TrainConfig()`.  grads maps a
+    trainable layer index to the gradient of its flat coefficient matrix (zero
+    off its `trainable_mask`), x0_grads is one vector per sample (zero unless
+    fit_initial_condition is set) and param_grads one {name: d loss / d value}
+    dict per sample (empty unless fit_parameters is set).  The same values fill
+    `_Batch.grad`, laid out like θ, on which `train` steps.
 
     One forward pass runs all samples together on the batch's plans
     (`train` builds the batch once and passes it to every epoch as
@@ -294,6 +294,7 @@ def gradients(net: Network, samples, sym_weight: float = 1.0,
     correctors' penalties, are built once per batch; a fully trained
     layer's comes each call from its map's cached Jacobian.
     """
+    config = TrainConfig() if config is None else config
     batch = _build_batch(net, samples, config) if _batch is None else _batch
     me, dreadings = _forward_pass(net, batch)
     n = net.state_dim
@@ -346,13 +347,13 @@ def gradients(net: Network, samples, sym_weight: float = 1.0,
         if i in batch.kicks:
             # W0 moves neither the residual nor the penalty; its gradient on W0 is exactly 0
             if i not in batch.sym:
-                batch.sym[i] = float(np.sum(_residual(tmap, n)[0].coeffs ** 2))
+                batch.sym[i] = float(np.sum(_residual(tmap)[0].coeffs ** 2))
             s += batch.sym[i]
         else:
-            residual, jd = _residual(tmap, n)
+            residual, jd = _residual(tmap)
             s += float(np.sum(residual.coeffs ** 2))
-            if sym_weight != 0.0:
-                batch.grads[i] += sym_weight * _weight_gradient(tmap, residual, jd)
+            if config.sym_weight != 0.0:
+                batch.grads[i] += config.sym_weight * _weight_gradient(tmap, residual, jd)
     np.take(batch.dense, batch.pick, out=batch.grad[:batch.pick.size])
     return dict(batch.grads), x0_grads, param_grads, me, s
 
@@ -390,7 +391,7 @@ def train(net: Network, samples, config: TrainConfig) -> tuple[Network, TrainRep
     batch = _build_batch(net, samples, config)
     m, v = np.zeros_like(batch.theta), np.zeros_like(batch.theta)
     for epoch in range(config.epochs):
-        _, _, _, me, sym = gradients(net, samples, config.sym_weight, config, _batch=batch)
+        _, _, _, me, sym = gradients(net, samples, config, _batch=batch)
         total = me + config.sym_weight * sym
         if not np.isfinite(total):
             raise TrainingDivergence(epoch)

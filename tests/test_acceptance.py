@@ -117,13 +117,13 @@ def test_criterion_04_gradient_check(report):
     layers = [Layer(random_map(rng, 4, 4, 2, scale=0.3), tap=i != 1,
                     trainable=True, label=f"l{i}", kind="map")
               for i in range(3)]
-    net = Network(layers, state_dim=4, order=2)
+    net = Network(layers)
     x0 = np.array([1e-3, 0.0, 0.5e-3, 0.0])
     target = Network([Layer(random_map(rng, 4, 4, 2, scale=0.3), tap=i != 1,
                             trainable=True, label=f"l{i}", kind="map")
-                      for i in range(3)], state_dim=4, order=2)
+                      for i in range(3)])
     sample = TrainSample(x0=x0, observed=track_turns(target, x0, 2, aperture=1e9))
-    grads, _, _, _, _ = gradients(net, [sample], sym_weight=1.0)
+    grads, _, _, _, _ = gradients(net, [sample], TrainConfig(sym_weight=1.0))
     h = 1e-5
     worst = 0.0
     for _ in range(100):
@@ -139,7 +139,7 @@ def test_criterion_04_gradient_check(report):
                 w = [np.array(w_) + eps * v / norm
                      for w_, v in zip(net.layers[i].map.weights, direction[i])]
                 trial.layers[i].map = net.layers[i].map.with_weights(w)
-            return loss(trial, [sample], sym_weight=1.0)[0]
+            return loss(trial, [sample], TrainConfig(sym_weight=1.0))[0]
 
         fd = (shifted(h) - shifted(-h)) / (2 * h)
         worst = max(worst, abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-10))
@@ -228,7 +228,7 @@ def test_criterion_07_recalibration(report):
         held = TrainSample(x0=x_held.copy(),
                            observed=track_turns(net, x_held, 1, params={"qf7": k_true}),
                            params={"qf7": k_design})
-        return np.sqrt(loss(trained, [held], sym_weight=0.0)[1])
+        return np.sqrt(loss(trained, [held], TrainConfig(sym_weight=0.0))[1])
 
     lam0 = [held_out_rms(0.0, seed) for seed in range(5)]
     lam1 = [held_out_rms(1.0, seed) for seed in range(5)]

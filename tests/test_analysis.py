@@ -21,7 +21,7 @@ def _rotation_net(q, tap=True):
                   [0, 0, c, s], [0, 0, -s, c]])
     m = TaylorMap.from_linear(r, order=2)
     return Network([Layer(m, tap=tap, trainable=False, label="bpm",
-                          kind="map")], state_dim=4, order=2)
+                          kind="map")])
 
 
 def test_identity_ring_constant_readings():
@@ -259,7 +259,7 @@ def test_track_turns_flags_losses():
     # unstable linear map: amplitude doubles each turn until the aperture
     m = TaylorMap.from_linear(np.diag([2.0, 0.5, 1.0, 1.0]), order=2)
     net = Network([Layer(m, tap=True, trainable=False, label="bpm",
-                         kind="map")], state_dim=4, order=2)
+                         kind="map")])
     rec = track_turns(net, [1e-3, 0, 0, 0], 20, aperture=10e-3)
     valid = rec.valid[:, 0, 0]
     assert valid[:3].all() and not valid[4:].any()

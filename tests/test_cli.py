@@ -327,6 +327,21 @@ def test_correct_with_a_bpm_missing_from_the_csv_is_input_error(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_correct_c_max_must_be_finite_and_positive(tmp_path, capsys, value):
+    lat, line, orbit = tmp_path / "line.lat", tmp_path / "line.json", tmp_path / "o.csv"
+    lat.write_text(transfer_line_text(bad_dx=2e-4))
+    assert run("build", lat, "-o", line) == 0
+    assert run("track", line, "--x0", "0,0,0,0", "--turns", "1", "--aperture", "1",
+               "-o", orbit) == 0
+    capsys.readouterr()
+    out = tmp_path / "c.json"
+    assert run("correct", line, "--observed", orbit, f"--c-max={value}", "-o", out) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "--c-max" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run("--version")

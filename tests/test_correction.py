@@ -15,6 +15,26 @@ from polytrack.training import TrainConfig
 from conftest import achromat_text, build, transfer_line_text
 
 
+def _model_taps(net, x0):
+    _, taps = forward(net, x0)
+    return np.array([taps[l] for l in net.tap_labels()])
+
+
+def _reference_response(net, x0, names, mask_flat, delta=1e-6):
+    """The set_kicks loop that response_matrix ran before it moved each kick through its map."""
+    net = net.copy()
+    base = get_kicks(net)
+    cols = []
+    for name in names:
+        set_kicks(net, {name: base[name] + delta})
+        hi = _model_taps(net, x0).ravel()[mask_flat]
+        set_kicks(net, {name: base[name] - delta})
+        lo = _model_taps(net, x0).ravel()[mask_flat]
+        set_kicks(net, {name: base[name]})
+        cols.append((hi - lo) / (2 * delta))
+    return np.stack(cols, axis=1)
+
+
 def _rms_at_machine(machine_net, model_result):
     rec = simulate_readings(MachineSim(machine_net), np.zeros(4))
     kicks = model_result.kicks
@@ -190,3 +210,66 @@ def test_thread_beam_recovers_lost_line():
     valids = [e["n_valid"] for e in log if e["accepted"]]
     assert all(b >= a for a, b in zip(valids, valids[1:]))
     assert len(log) - 1 <= 10
+
+
+def test_response_matrix_leaves_the_network_as_it_found_it(monkeypatch):
+    net = build(achromat_text({i: (-1) ** i * 1e-4 for i in range(1, 11)}), merge="minimal")
+    set_kicks(net, {"c3": 2e-4, "c8": -1e-4})
+    names = corrector_labels(net)
+    maps = [layer.map for layer in net.layers]
+    x0 = np.array([1e-4, 0.0, -2e-4, 0.0])
+    mask = np.arange(2 * len(net.tap_labels())) % 3 != 1
+    got = response_matrix(net, x0, names, mask)
+    assert got.tobytes() == _reference_response(net, x0, names, mask).tobytes()
+    assert all(layer.map is m for layer, m in zip(net.layers, maps))
+
+    calls = []
+    original = correction.forward
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("forward failed")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(correction, "forward", failing)
+    with pytest.raises(RuntimeError, match="forward failed"):
+        response_matrix(net, x0, names, mask)
+    assert all(layer.map is m for layer, m in zip(net.layers, maps))
+
+
+def test_thread_beam_log_flags_the_kept_steps(monkeypatch):
+    machine = build(transfer_line_text(bad_cell=1, bad_dx=20e-3), merge="minimal")
+    model = build(transfer_line_text(bad_dx=0.0), merge="minimal")
+    sim = MachineSim(machine, aperture=10e-3)
+    everything = set(corrector_labels(machine))
+    installs, restores = [], []
+    original = correction.set_kicks
+
+    def counted(net, kicks):
+        if net is sim.network:  # a restore puts back every kick, a trial only the upstream ones
+            (restores if set(kicks) == everything else installs).append(dict(kicks))
+        original(net, kicks)
+
+    monkeypatch.setattr(correction, "set_kicks", counted)
+    log = thread_beam(sim, model, max_iterations=10, c_max=1e-3)
+    # every entry but the last tried steps from its measurement: a step kept
+    # after k - 1 halvings costs k installs and k - 1 restores, a rejected
+    # iteration 8 of each
+    kept = [e for e in log if e["accepted"]]
+    assert kept and len(kept) < len(log) - 1 and not log[-1]["accepted"]
+    assert len(installs) - len(restores) == len(kept)
+    assert len(installs) + len(restores) == sum(
+        2 * round(-np.log2(e["step_scale"])) + 1 if e["accepted"] else 16 for e in log[:-1])
+    for e in log:
+        assert (e["step_scale"] > 0.0) == e["accepted"]
+
+
+@pytest.mark.parametrize("c_max", [-1e-3, 0.0, np.nan, np.inf])
+def test_c_max_must_be_finite_and_positive(c_max):
+    net = build(transfer_line_text(bad_dx=2e-4), merge="minimal")
+    orbit = simulate_readings(MachineSim(net), np.zeros(4))
+    with pytest.raises(ValueError, match="c_max"):
+        correct_orbit(net, orbit, c_max=c_max)
+    with pytest.raises(ValueError, match="c_max"):
+        thread_beam(MachineSim(net), net, c_max=c_max)

@@ -300,7 +300,7 @@ def test_element_map_all_kinds_are_near_symplectic():
         ElementSpec("m", "monitor"),
     ]
     for spec in specs:
-        assert symplectic_penalty(element_map(spec, n=4, order=2), 4) <= 1e-20
+        assert symplectic_penalty(element_map(spec, n=4, order=2)) <= 1e-20
 
 
 def test_spec_validation():

@@ -1,14 +1,18 @@
 """Lattice grammar: parsing, serialization, monitor splitting, segment plans."""
 
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytrack.lattice import (LatticeError, parse_lattice, plan_segments,
+from polytrack.lattice import (LatticeError, Segment, parse_lattice, plan_segments,
                                serialize_lattice, split_at_monitors)
 
-from conftest import FODO12_TEXT, FODO_MONITORED_TEXT
+from conftest import (FODO12_TEXT, FODO_MONITORED_TEXT, LINEAR_RING_TEXT, SEXTUPOLE_RING_TEXT,
+                      achromat_text, cell_ring_text, resonant_ring_text, transfer_line_text)
 
 
 BASIC = "d1: drift, l=1.0;\nqf: quadrupole, l=0.5, k1=1.2;\nring: sequence = (qf, d1);"
@@ -117,34 +121,75 @@ def test_monitor_offset_inside_non_drift_rejected():
 def test_fodo_per_element_has_12_segments():
     doc = split_at_monitors(parse_lattice(FODO12_TEXT))
     plan = plan_segments(doc, "per_element")
-    assert len(plan.segments) == 12
+    assert len(plan) == 12
 
 
 def test_minimal_ring_three_bpms_three_segments():
     text = ("d: drift, l=1.0;\nm1: monitor;\nm2: monitor;\nm3: monitor;\n"
             "r: sequence, ring=true = (d, m1, d, m2, d, m3);")
     plan = plan_segments(split_at_monitors(parse_lattice(text)), "minimal")
-    assert len(plan.segments) == 3
-    assert all(s.tap for s in plan.segments)
-    assert [s.label for s in plan.segments] == ["m1", "m2", "m3"]
+    assert len(plan) == 3
+    assert all(s.tap for s in plan)
+    assert [s.label for s in plan] == ["m1", "m2", "m3"]
 
 
 def test_minimal_isolates_correctors():
     text = ("d: drift, l=1.0;\nc: hcorrector, kick=0.0;\nm: monitor;\n"
             "r: sequence = (d, c, d, m);")
     plan = plan_segments(split_at_monitors(parse_lattice(text)), "minimal")
-    kinds = [s.kind for s in plan.segments]
+    kinds = [s.kind for s in plan]
     assert kinds == ["map", "hcorrector", "map"]
-    assert plan.segments[1].trainable
-    assert plan.segments[-1].tap
+    assert plan[1].trainable
+    assert plan[-1].tap
 
 
 def test_segments_cover_sequence_in_order():
     doc = split_at_monitors(parse_lattice(FODO_MONITORED_TEXT))
     for policy in ("minimal", "per_element"):
         plan = plan_segments(doc, policy)
-        flattened = [n for s in plan.segments for n in s.element_names]
+        flattened = [n for s in plan for n in s.element_names]
         assert flattened == doc.sequence
+
+
+def _reference_per_element(doc):
+    """The separate per-element loop of `plan_segments` before both policies shared one walk."""
+    segs = []
+    for name in doc.sequence:
+        spec = doc.definitions[name]
+        seg = Segment([name], label=name)
+        if spec.kind == "monitor":
+            seg.tap = True
+        elif spec.kind in ("hcorrector", "vcorrector"):
+            seg.trainable = True
+            seg.kind = spec.kind
+        elif spec.parametric:
+            seg.kind = "parametric"
+        segs.append(seg)
+    return segs
+
+
+EVERY_KIND_TEXT = ("d: drift, l=1.0;\nq: quadrupole, l=0.5, k1=0.8, parametric=true;\n"
+                   "hc: hcorrector;\nvc: vcorrector, kick=1e-4;\nmk: marker;\n"
+                   "sx: sextupole, l=0.2, k2=2.0;\nb: sbend, l=1.0, angle=0.1;\n"
+                   "m1: monitor, at=0.4;\nm2: monitor;\n"
+                   "s: sequence = (q, d, m1, hc, vc, mk, sx, d, q, q, b, m2, d);")
+
+
+def _perfbench_lattices():
+    """The lattice texts of the benchmark's workloads."""
+    w = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+    return [w["SEXTUPOLE_RING_TEXT"], w["FODO12_TEXT"], w["cell_ring_text"](20, 7),
+            w["achromat_text"]({3: 1e-4}), w["transfer_line_text"](5, 8.5e-3)]
+
+
+def test_per_element_plan_equals_the_reference_loop():
+    texts = [FODO12_TEXT, FODO_MONITORED_TEXT, SEXTUPOLE_RING_TEXT, LINEAR_RING_TEXT,
+             resonant_ring_text(2.0), cell_ring_text(20, parametric_cell=7, detuned_cell=3),
+             achromat_text({i: (-1) ** i * 1e-4 for i in range(1, 11)}),
+             transfer_line_text(bad_dx=8e-3), EVERY_KIND_TEXT]
+    for text in texts + _perfbench_lattices():
+        doc = split_at_monitors(parse_lattice(text))
+        assert plan_segments(doc, "per_element") == _reference_per_element(doc)
 
 
 # -- fuzzing ------------------------------------------------------------------

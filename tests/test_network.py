@@ -110,7 +110,7 @@ def test_forward_matches_full_basis_evaluation(rng, name):
 def _one_layer_ring():
     """A single tapped sextupole-and-quadrupole layer: its output is the next turn's input."""
     ring = [elem.quad_map(0.5, 0.6), elem.sextupole_map(0.2, 40.0), elem.drift_map(1.0)]
-    return Network([Layer(compose_chain(ring), tap=True, label="bpm")], state_dim=4, order=2)
+    return Network([Layer(compose_chain(ring), tap=True, label="bpm")])
 
 
 def _constant_layer_in_the_middle():
@@ -120,7 +120,7 @@ def _constant_layer_in_the_middle():
     flat[:, 0] = [1e-4, -2e-5, 3e-4, 4e-5]
     const = Layer(TaylorMap.from_flat(flat, 4, 2), tap=True, label="const")
     taps = [replace(l, tap=True, label=f"t{i}") for i, l in enumerate(net.layers)]
-    return Network(taps[:6] + [const] + taps[6:], state_dim=4, order=2)
+    return Network(taps[:6] + [const] + taps[6:])
 
 
 def _two_dimensional():
@@ -130,7 +130,7 @@ def _two_dimensional():
               Layer(elem.parametric_quad_map(0.5, order=2, phase_dim=2), tap=True, label="pq",
                     kind="parametric", params=("k",)),
               Layer(elem.drift_map(1.0, n=2), tap=True, label="d")]
-    return Network(layers, state_dim=2, order=2)
+    return Network(layers)
 
 
 # (network, parameter values) of every layout the single-particle pass has to get right
@@ -221,6 +221,31 @@ def test_save_load_bit_exact():
         for wa, wb in zip(a.map.weights, b.map.weights):
             # 0-ulp: identical bit patterns after the round trip
             assert np.array_equal(wa.view(np.uint64), wb.view(np.uint64))
+
+
+def test_layers_of_another_order_rejected():
+    layers = [Layer(elem.drift_map(1.0, order=2), tap=True, label="d2"),
+              Layer(elem.drift_map(1.0, order=3), tap=True, label="d3")]
+    with pytest.raises(ValueError, match="layer 1 \\('d3'\\) has 4 outputs at order 3, expected 4 at order 2"):
+        Network(layers)
+    net = Network(layers[:1])
+    assert (net.state_dim, net.order) == (4, 2)
+
+
+@pytest.mark.parametrize("name", list(PASS_NETS) + ["order_3", "per_element"])
+def test_every_network_round_trips_bit_exactly(name):
+    if name == "order_3":
+        net = build(FODO_MONITORED_TEXT, order=3, merge="minimal")
+    elif name == "per_element":
+        net = build(cell_ring_text(4, parametric_cell=2))
+    else:
+        net = PASS_NETS[name]()[0]
+    blob = save_model(net)
+    again = load_model(blob)
+    assert (again.state_dim, again.order) == (net.state_dim, net.order)
+    assert save_model(again) == blob
+    for a, b in zip(net.layers, again.layers):
+        assert a.map.flat_coefficients().tobytes() == b.map.flat_coefficients().tobytes()
 
 
 def test_load_truncated_raises_format_error():

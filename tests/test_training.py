@@ -9,13 +9,14 @@ import pytest
 from polytrack import polymap, symplectic, training
 from polytrack.analysis import track_turns
 from polytrack.correction import get_kicks, set_kicks
-from polytrack.network import Layer, Network, TrackRecord, forward
+from polytrack.network import Layer, Network, TrackRecord, forward, one_turn_map
 from polytrack.polymap import ShapeError, evaluate, jacobian
 from polytrack.training import (TrainConfig, TrainSample, TrainingDivergence,
                                 gradients, loss, samples_from_csv,
                                 samples_to_csv, train)
 
-from conftest import LINEAR_RING_TEXT, achromat_text, build, layer_input, random_map, weight_block
+from conftest import (LINEAR_RING_TEXT, achromat_text, build, cell_ring_text, layer_input,
+                      random_map, weight_block)
 
 
 X0 = np.array([1e-3, 0.0, 0.5e-3, 0.0])
@@ -37,15 +38,31 @@ def _random_net(rng, n_layers=3, taps=(0, 2)):
         m = random_map(rng, 4, 4, 2, scale=0.3)
         layers.append(Layer(m, tap=i in taps, trainable=True,
                             label=f"l{i}", kind="map"))
-    return Network(layers, state_dim=4, order=2)
+    return Network(layers)
 
 
 def test_loss_zero_on_self_generated_data():
     net = _ring()
-    total, me, sym = loss(net, [_sample(net)], sym_weight=1.0)
+    total, me, sym = loss(net, [_sample(net)], TrainConfig(sym_weight=1.0))
     assert me == 0.0
     assert total == pytest.approx(sym, abs=1e-24)
     assert sym <= 1e-20  # linear lattice layers are symplectic
+
+
+def test_sym_weight_comes_from_the_config(rng):
+    net = _random_net(rng)
+    samples = [TrainSample(x0=X0, observed=track_turns(_random_net(rng), X0, 2, aperture=1e9))]
+    off = TrainConfig(sym_weight=0.0)
+    total, me, sym = loss(net, samples, off)
+    assert sym > 0.0 and total == me
+    grads, _, _, g_me, g_sym = gradients(net, samples, off)
+    want = _reference_gradients(net, samples, 0.0, off)
+    assert (g_me, g_sym) == (me, sym)
+    for i in want[0]:
+        assert _close(grads[i], want[0][i])
+    # no config means TrainConfig(), whose sym_weight is 1
+    assert loss(net, samples)[0] == loss(net, samples, TrainConfig(sym_weight=1.0))[0] == me + sym
+    assert gradients(net, samples)[4] == sym
 
 
 def test_single_offset_reading_gives_expected_error():
@@ -54,10 +71,10 @@ def test_single_offset_reading_gives_expected_error():
     assert sample.observed.readings.shape[1] == 1  # one BPM
     sample.observed.readings[0, 0, 0] += 1e-3
     sample.mask = np.array([[[True, False]]])  # one scalar reading in play
-    _, me, _ = loss(net, [sample], sym_weight=0.0)
+    _, me, _ = loss(net, [sample], TrainConfig(sym_weight=0.0))
     assert me == pytest.approx(1e-6, rel=1e-12)
     sample.mask = None  # averaged over both scalars of the reading
-    _, me, _ = loss(net, [sample], sym_weight=0.0)
+    _, me, _ = loss(net, [sample], TrainConfig(sym_weight=0.0))
     assert me == pytest.approx(0.5e-6, rel=1e-12)
 
 
@@ -66,7 +83,7 @@ def test_masked_readings_are_ignored():
     sample = _sample(net, n_turns=2)
     sample.observed.readings[1, 0, 0] += 5.0  # corrupt the second turn
     sample.mask = np.array([[[True, True]], [[False, False]]])
-    _, me, _ = loss(net, [sample], sym_weight=0.0)
+    _, me, _ = loss(net, [sample], TrainConfig(sym_weight=0.0))
     assert me == 0.0
 
 
@@ -75,7 +92,7 @@ def test_all_masked_raises():
     sample = _sample(net, n_turns=1)
     sample.mask = np.zeros((1, 1, 2), dtype=bool)
     with pytest.raises(ValueError):
-        loss(net, [sample], sym_weight=0.0)
+        loss(net, [sample], TrainConfig(sym_weight=0.0))
 
 
 def test_gradients_match_finite_differences(rng):
@@ -83,7 +100,7 @@ def test_gradients_match_finite_differences(rng):
     target = _random_net(rng)
     obs = track_turns(target, X0, 2, aperture=1e9)
     sample = TrainSample(x0=X0.copy(), observed=obs)
-    grads, _, _, _, _ = gradients(net, [sample], sym_weight=1.0)
+    grads, _, _, _, _ = gradients(net, [sample], TrainConfig(sym_weight=1.0))
     h = 1e-5
     checked = 0
     for i, flat in grads.items():
@@ -100,7 +117,7 @@ def test_gradients_match_finite_differences(rng):
                     w[d][r, c] = saved + delta
                     trial = net.copy()
                     trial.layers[i].map = layer.map.with_weights(w)
-                    t, _, _ = loss(trial, [sample], sym_weight=1.0)
+                    t, _, _ = loss(trial, [sample], TrainConfig(sym_weight=1.0))
                     return t
 
                 fd = (perturbed(h) - perturbed(-h)) / (2 * h)
@@ -114,14 +131,14 @@ def test_initial_condition_gradient_matches_finite_differences(rng):
     net = _random_net(rng)
     obs = track_turns(_random_net(rng), X0, 2, aperture=1e9)
     sample = TrainSample(x0=X0.copy(), observed=obs)
-    cfg = TrainConfig(fit_initial_condition=True)
-    _, x0_grads, _, _, _ = gradients(net, [sample], sym_weight=0.0, config=cfg)
+    cfg = TrainConfig(sym_weight=0.0, fit_initial_condition=True)
+    _, x0_grads, _, _, _ = gradients(net, [sample], cfg)
     h = 1e-8
     for c in range(4):
         e = np.zeros(4)
         e[c] = h
-        lp = loss(net, [TrainSample(x0=X0 + e, observed=obs)], 0.0)[0]
-        lm = loss(net, [TrainSample(x0=X0 - e, observed=obs)], 0.0)[0]
+        lp = loss(net, [TrainSample(x0=X0 + e, observed=obs)], TrainConfig(sym_weight=0.0))[0]
+        lm = loss(net, [TrainSample(x0=X0 - e, observed=obs)], TrainConfig(sym_weight=0.0))[0]
         fd = (lp - lm) / (2 * h)
         scale = max(abs(fd), abs(x0_grads[0][c]), 1e-10)
         assert abs(fd - x0_grads[0][c]) / scale <= 1e-5
@@ -142,9 +159,9 @@ def test_one_residual_per_trainable_layer_per_epoch(rng, monkeypatch, sym_weight
     obs = track_turns(_random_net(rng), X0, 2, aperture=1e9)
     calls = []
 
-    def counted(tmap, phase_dim):
+    def counted(tmap):
         calls.append(tmap)
-        return original(tmap, phase_dim)
+        return original(tmap)
 
     original = symplectic._residual
     monkeypatch.setattr(symplectic, "_residual", counted)
@@ -212,6 +229,32 @@ def test_penalty_and_determinant_stay_bounded():
     w1 = one_turn_map(trained).linear_block()
     for sl in (slice(0, 2), slice(2, 4)):
         assert abs(np.linalg.det(w1[sl, sl]) - 1.0) <= 1e-3
+
+
+@pytest.mark.parametrize("sym_weight", [0.0, 1.0])
+def test_symplectic_penalty_keeps_the_trained_map_hamiltonian(sym_weight):
+    """The regularizer is what keeps a trained layer symplectic; without it the gate fails.
+
+    Criterion 7's fit of the whole qf7 layer (design 0.6, machine 0.72) on one
+    single-pass trajectory per seed.  With the penalty, the one-turn map's
+    linear part keeps det 1 and a particle survives 4000 turns; without it,
+    det drifts by more than 1e-3 on every seed.
+    """
+    net = build(cell_ring_text(20, parametric_cell=7), merge="minimal")
+    cfg = TrainConfig(epochs=300, learning_rate=2e-3, sym_weight=sym_weight,
+                      trainable_labels=["qf7"])
+    for seed in range(8):
+        x0 = np.random.default_rng(seed).uniform(-3e-4, 3e-4, size=4)
+        sample = TrainSample(x0=x0.copy(), observed=track_turns(net, x0, 1, params={"qf7": 0.72}),
+                             params={"qf7": 0.6})
+        trained, _ = train(net, [sample], cfg)
+        drift = abs(np.linalg.det(one_turn_map(trained, {"qf7": 0.6}).linear_block()) - 1.0)
+        rec = track_turns(trained, np.array([5e-4, 0.0, 3e-4, 0.0]), 4000, aperture=10e-3,
+                          params={"qf7": 0.6})
+        if sym_weight:
+            assert drift <= 1e-6 and rec.valid.all(), (seed, drift)
+        else:
+            assert drift >= 1e-3, (seed, drift)
 
 
 def test_parametric_strength_recovered_within_one_percent():
@@ -315,7 +358,7 @@ def _block_adam_reference(net, samples, config):
         return theta - config.learning_rate * mhat / (np.sqrt(vhat) + training.ADAM_EPSILON)
 
     for epoch in range(config.epochs):
-        flat, _, _, _, _ = gradients(net, samples, config.sym_weight, config)
+        flat, _, _, _, _ = gradients(net, samples, config)
         grads = {}
         for i in trainable:
             layer = net.layers[i]
@@ -454,7 +497,7 @@ def _reference_gradients(net, samples, sym_weight, config):
     s = 0.0
     for i in trainable:
         tmap = net.layers[i].map
-        res, jd = symplectic._residual(tmap, n)
+        res, jd = symplectic._residual(tmap)
         s += float(np.sum(res.coeffs ** 2))
         if sym_weight != 0.0:
             grads[i] += sym_weight * symplectic._weight_gradient(tmap, res, jd)
@@ -492,7 +535,7 @@ def _assert_matches_reference(trainable, n_samples, sym_weight, fit):
     samples = _mixed_samples(net, n_samples)
     cfg = TrainConfig(sym_weight=sym_weight, trainable_labels=trainable,
                       fit_initial_condition=fit, fit_parameters=fit)
-    got = gradients(net, samples, sym_weight, cfg)
+    got = gradients(net, samples, cfg)
     want = _reference_gradients(net, samples, sym_weight, cfg)
     assert sorted(got[0]) == sorted(want[0]) and len(got[0]) == len(trainable)
     for i in want[0]:
@@ -504,7 +547,7 @@ def _assert_matches_reference(trainable, n_samples, sym_weight, fit):
     for g, w in zip(got[2], want[2]):
         assert _close([g[k] for k in sorted(w)], [w[k] for k in sorted(w)])
     assert _close(got[3], want[3]) and got[4] == want[4]
-    total, me, sym = loss(net, samples, sym_weight, cfg)
+    total, me, sym = loss(net, samples, cfg)
     assert _close(me, want[3]) and sym == want[4]
     assert _close(total, want[3] + sym_weight * want[4])
 
@@ -542,7 +585,7 @@ def _epoch_loop_reference(net, samples, config):
 
     for epoch in range(config.epochs):
         current = [replace(s, x0=x0, params=dict(pv)) for s, x0, pv in zip(samples, x0s, pvals)]
-        grads, x0_grads, param_grads, _, _ = gradients(net, current, config.sym_weight, config)
+        grads, x0_grads, param_grads, _, _ = gradients(net, current, config)
         gnorm = np.sqrt(sum(float(np.sum(g ** 2)) for g in grads.values())
                         + sum(float(np.sum(g ** 2)) for g in x0_grads)
                         + sum(g * g for pg in param_grads for g in pg.values()))
@@ -601,7 +644,7 @@ def test_plans_built_once_per_call(monkeypatch):
         assert built == [3, 2, 1]  # the samples still running in each turn
     for call in (gradients, loss):
         built.clear()
-        call(net, samples, 1.0, cfg)
+        call(net, samples, cfg)
         assert built == [3, 2, 1]
 
 
@@ -617,9 +660,9 @@ def test_kick_only_layers_build_their_caches_once_per_call(monkeypatch):
         jacobians.append(tmap)
         return original_jacobian(tmap)
 
-    def counted_residual(tmap, phase_dim):
+    def counted_residual(tmap):
         residuals.append(tmap)
-        return original_residual(tmap, phase_dim)
+        return original_residual(tmap)
 
     monkeypatch.setattr(polymap, "_jacobian_coeffs", counted_jacobian)
     monkeypatch.setattr(symplectic, "_residual", counted_residual)
@@ -676,7 +719,7 @@ def test_adam_correction_sample_matches_per_sample_reference():
     x0 = np.zeros(4)
     obs = track_turns(machine, x0, 1, aperture=1e9)
     cfg = TrainConfig(sym_weight=0.0, trainable_labels=[f"c{i}" for i in range(1, 11)])
-    got = gradients(net, [TrainSample(x0, obs)], 0.0, cfg)
+    got = gradients(net, [TrainSample(x0, obs)], cfg)
     want = _reference_gradients(net, [TrainSample(x0, obs)], 0.0, cfg)
     assert len(got[0]) == 10
     for i in want[0]:
@@ -719,7 +762,7 @@ def test_masked_non_finite_reading_adds_nothing():
     clean.observed.valid[1, 0] = False
     cfg = TrainConfig(epochs=3, learning_rate=1e-6, trainable_labels=["bpm"],
                       fit_initial_condition=True)
-    got, want = gradients(net, [sample], 1.0, cfg), gradients(net, [clean], 1.0, cfg)
+    got, want = gradients(net, [sample], cfg), gradients(net, [clean], cfg)
     for i in want[0]:
         assert np.array_equal(got[0][i], want[0][i])
     assert np.array_equal(got[1][0], want[1][0]) and got[3] == want[3]
