@@ -51,9 +51,12 @@ def _load_net(path) -> network.Network:
 
 def _parse_vec(text, what="--x0") -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")])
+        vec = np.array([float(v) for v in text.split(",")])
     except ValueError:
-        raise CliError(f"{what} must be a comma-separated list of numbers")
+        vec = None
+    if vec is None or not np.all(np.isfinite(vec)):
+        raise CliError(f"{what} must be a comma-separated list of finite numbers, got {text!r}")
+    return vec
 
 
 def _parse_params(pairs) -> dict | None:
@@ -98,19 +101,26 @@ def _misalignments(misalign, definitions) -> dict:
     return out
 
 
-def _scenario_number(scenario: dict, key: str, default, low: float, integer: bool = False,
-                     above: bool = False):
-    """Scenario field `key`: a finite number (an integer if `integer`) >= `low` (> if `above`)."""
-    value = scenario.get(key, default)
+def _number(value, what: str, low: float, integer: bool = False, above: bool = False):
+    """`value` if it is a finite number (an integer if `integer`) >= `low` (> if `above`).
+
+    Otherwise an input error that names `what`: a flag, or a scenario field.
+    """
     if not (isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
             and -math.inf < value < math.inf and (value > low if above else value >= low)):
         kind = "an integer" if integer else "a finite number"
-        raise CliError(f"scenario '{key}' must be {kind} {'>' if above else '>='} {low:g}, "
-                       f"got {value!r}")
+        raise CliError(f"{what} must be {kind} {'>' if above else '>='} {low:g}, got {value!r}")
     return value
 
 
+def _scenario_number(scenario: dict, key: str, default, low: float, integer: bool = False,
+                     above: bool = False):
+    """Scenario field `key`, checked by `_number`."""
+    return _number(scenario.get(key, default), f"scenario '{key}'", low, integer, above)
+
+
 def cmd_build(args) -> int:
+    _number(args.order, "--order", 1, integer=True)
     try:
         doc = lattice.parse_lattice(_read(args.lattice))
         doc = lattice.split_at_monitors(doc)
@@ -129,6 +139,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_track(args) -> int:
+    _number(args.aperture, "--aperture", 0, above=True)
     net = _load_net(args.model)
     x0 = _parse_vec(args.x0)
     if x0.size != net.state_dim:
@@ -141,6 +152,7 @@ def cmd_track(args) -> int:
 
 
 def cmd_portrait(args) -> int:
+    _number(args.aperture, "--aperture", 0, above=True)
     net = _load_net(args.model)
     amps = _parse_vec(args.amplitudes, "--amplitudes")
     pts = _tracked(analysis.phase_portrait, net, amps, args.turns, aperture=args.aperture,
@@ -202,8 +214,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_correct(args) -> int:
-    if not 0 < args.c_max < math.inf:
-        raise CliError(f"--c-max must be finite and > 0, got {args.c_max!r}")
+    _number(args.c_max, "--c-max", 0, above=True)
     net = _load_net(args.model)
     try:
         observed = network.TrackRecord.from_csv(_read(args.observed))
@@ -223,6 +234,8 @@ def cmd_correct(args) -> int:
     if args.kicks:
         Path(args.kicks).write_text(result.kicks_csv())
     print(f"orbit rms {result.rms_before:.3e} -> {result.rms_after:.3e} m")
+    if result.clipped:
+        print(f"clipped at ±{args.c_max:g} rad: {', '.join(result.clipped)}")
     return 0
 
 

@@ -93,10 +93,12 @@ class CorrectionResult:
     rms_after: float
     iterations: int
     network: Network
+    clipped: list  # correctors whose kick was clipped at ±c_max
 
     def to_json(self) -> str:
         return json.dumps({"kicks": self.kicks, "rms_before": self.rms_before,
-                           "rms_after": self.rms_after, "iterations": self.iterations}, indent=1)
+                           "rms_after": self.rms_after, "iterations": self.iterations,
+                           "clipped": self.clipped}, indent=1)
 
     def kicks_csv(self) -> str:
         lines = ["corrector,kick"]
@@ -140,8 +142,9 @@ def correct_orbit(net: Network, observed: TrackRecord, mask=None, x0=None,
 
     The observed readings are assumed affine in the kicks with the model
     network providing the response; the returned network has the kicks
-    installed.  Raises ValueError if `observed` lacks one of the model's BPMs,
-    or if `c_max` is not finite and > 0.
+    installed, each clipped to ±`c_max`, and `clipped` names the correctors
+    whose solved kick lay beyond it.  Raises ValueError if `observed` lacks
+    one of the model's BPMs, or if `c_max` is not finite and > 0.
     """
     if not 0 < c_max < np.inf:
         raise ValueError(f"c_max must be finite and > 0, got {c_max!r}")
@@ -173,22 +176,23 @@ def correct_orbit(net: Network, observed: TrackRecord, mask=None, x0=None,
     base = np.array([current[n] for n in names])
     if method == "lstsq":
         dc, *_ = np.linalg.lstsq(resp, -target, rcond=None)
-        kicks = np.clip(base + dc, -c_max, c_max)
+        solved = base + dc
         iterations = 1
     elif method == "adam":
-        kicks, iterations = _adam_kicks(net, names, target, mask_flat, x0,
-                                        c_max, adam_config)
+        solved, iterations = _adam_kicks(net, names, target, mask_flat, x0, adam_config)
     else:
         raise ValueError(f"unknown correction method '{method}'")
+    kicks = np.clip(solved, -c_max, c_max)
+    clipped = [n for n, s, k in zip(names, solved, kicks) if s != k]
 
     set_kicks(net, dict(zip(names, map(float, kicks))))
     # predicted residual: observed orbit plus the response to the kick change
     rms_after = float(np.sqrt(np.mean((target + resp @ (kicks - base)) ** 2)))
-    return CorrectionResult(get_kicks(net), rms_before, rms_after, iterations, net)
+    return CorrectionResult(get_kicks(net), rms_before, rms_after, iterations, net, clipped)
 
 
-def _adam_kicks(net: Network, names, target, mask_flat, x0, c_max, config):
-    """Optimize kick weights with the training engine against -observed."""
+def _adam_kicks(net: Network, names, target, mask_flat, x0, config):
+    """Optimize kick weights with the training engine against -observed; returns them unclipped."""
     work = net.copy()
     labels = work.tap_labels()
     # target taps for the model: current model taps minus the observed orbit
@@ -205,8 +209,7 @@ def _adam_kicks(net: Network, names, target, mask_flat, x0, c_max, config):
     config = replace(config, trainable_labels=list(names))
     trained, report = train(work, [sample], config)
     fitted = get_kicks(trained)
-    kicks = np.array([fitted[n] for n in names])
-    return np.clip(kicks, -c_max, c_max), config.epochs
+    return np.array([fitted[n] for n in names]), config.epochs
 
 
 def _correctors_upstream(net: Network, n_valid_taps: int) -> list[str]:

@@ -5,7 +5,7 @@ applies the flat coefficient matrix.  `USING_NUMBA` stays False: there is
 no compiled kernel any more.  The benchmark reads that constant
 (`perfbench/run.py` `environment()`) and its tracer wraps `batch_apply`;
 both go when the batch path moves onto the monomial growth table
-(ROADMAP item 1).
+(ROADMAP item 6, once item 1 has decoupled the benchmark from this module).
 """
 
 from __future__ import annotations

@@ -250,23 +250,41 @@ def one_turn_map(net: Network, params=None) -> TaylorMap:
 
 # -- construction from a lattice ----------------------------------------------
 
+_SPEC_FIELDS = ("kind", "length", "k1", "k2", "angle", "kick", "dx", "dy", "parametric")
+
+
 def build_network(doc: LatticeDoc, order: int = 2, merge_policy: str = "minimal",
                   paper_compat: bool = False) -> Network:
-    """Build 4-D (x, x', y, y') layer maps from a monitor-split lattice document."""
+    """Build 4-D (x, x', y, y') layer maps from a monitor-split lattice document.
+
+    Each distinct element, and each distinct merged segment, is built once
+    per call: an element is known by the `repr` of the fields its map reads
+    (not its name or `at`; `repr` keeps -0.0 apart from 0.0), a segment by
+    the tuple of its elements' keys.  Layers of identical elements or
+    segments share one immutable map, with its cached live pair and
+    Jacobian; the maps are those of building every element on its own.
+    """
     n = 4
+    keys = {name: repr(tuple(getattr(spec, f) for f in _SPEC_FIELDS))
+            for name, spec in doc.definitions.items()}
+    built: dict = {}  # element key, or tuple of element keys -> TaylorMap
+
+    def element(name):
+        key = keys[name]
+        if key not in built:
+            built[key] = elem.element_map(doc.definitions[name], n, order,
+                                          paper_compat=paper_compat)
+        return built[key]
+
     layers = []
     for seg in plan_segments(doc, merge_policy):
-        if seg.kind == "parametric":
-            spec = doc.definitions[seg.element_names[0]]
-            m = elem.element_map(spec, n, order, paper_compat=paper_compat)
-            layers.append(Layer(m, tap=seg.tap, trainable=seg.trainable,
-                                label=seg.label, kind="parametric", params=(spec.name,)))
-            continue
-        maps = [elem.element_map(doc.definitions[name], n, order, paper_compat=paper_compat)
-                for name in seg.element_names]
-        m = compose_chain(maps) if maps else TaylorMap.identity(n, order)
-        layers.append(Layer(m, tap=seg.tap, trainable=seg.trainable,
-                            label=seg.label, kind=seg.kind))
+        key = tuple(keys[name] for name in seg.element_names)
+        if key not in built:
+            maps = [element(name) for name in seg.element_names]
+            built[key] = compose_chain(maps) if maps else TaylorMap.identity(n, order)
+        params = (doc.definitions[seg.element_names[0]].name,) if seg.kind == "parametric" else ()
+        layers.append(Layer(built[key], tap=seg.tap, trainable=seg.trainable,
+                            label=seg.label, kind=seg.kind, params=params))
     return Network(layers)
 
 
@@ -290,7 +308,7 @@ def save_model(net: Network) -> bytes:
             for l in net.layers
         ],
     }
-    return json.dumps(doc, indent=1).encode()
+    return json.dumps(doc).encode()  # compact, so the C encoder writes it
 
 
 def load_model(data: bytes) -> Network:

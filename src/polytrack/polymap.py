@@ -22,7 +22,12 @@ element is then one affine step instead of growing and multiplying zero
 monomials.
 Lower-order bases are prefixes of the full one, so the result is the full
 product up to rounding; a state whose dropped monomials overflow now gives
-finite values or inf where the zero weights made NaN.  Batch evaluation
+finite values or inf where the zero weights made NaN.  `compose` likewise
+grows the middle monomials only up to the outer map's live degree, but
+keeps the full-width product with the outer flat matrix: the rows it
+leaves zero meet zero columns, so its result is bit-identical to growing
+every degree, where a product over the live prefix alone can differ in the
+last bit.  An affine outer map multiplies no polynomials.  Batch evaluation
 (`evaluate_batch`, `kernels.batch_apply`) keeps the full basis.  Training's
 plans run its frozen and kick-only layers on the live pair too, but a
 layer trained on every weight on the full basis: its zero weights still
@@ -230,7 +235,10 @@ def compose(first: TaylorMap, second: TaylorMap) -> TaylorMap:
     """Map of second∘first (apply `first`, then `second`), truncated.
 
     Both maps must share the same truncation order; monomials of the
-    substituted polynomial above that order are discarded.
+    substituted polynomial above that order are discarded.  The middle
+    monomials are grown only up to `second`'s live degree: the rows above
+    it stay zero where `second`'s columns are zero, so the full-width
+    product is the same, and an affine `second` multiplies no polynomials.
     """
     if first.n_out != second.n_in:
         raise ShapeError(f"cannot compose: first.n_out={first.n_out} != second.n_in={second.n_in}")
@@ -243,8 +251,8 @@ def compose(first: TaylorMap, second: TaylorMap) -> TaylorMap:
     p[0, 0] = 1.0
     if k:
         p[1:mid.n_vars + 1] = first._flat
-    for s, parent, var in mid.steps:  # var: row of the variable in p, 1 + its index
-        p[s] = basis.multiply(p[var], p[parent])
+    for s, parent, var in mid.steps[:max(second._live[0].max_order - 1, 0)]:
+        p[s] = basis.multiply(p[var], p[parent])  # var: row of the variable in p, 1 + its index
     return TaylorMap.from_flat(second._flat @ p, first.n_in, k)
 
 

@@ -93,13 +93,17 @@ class TrainReport:
     loss: list = field(default_factory=list)
     me: list = field(default_factory=list)
     sym: list = field(default_factory=list)
+    grad_norm: list = field(default_factory=list)  # per epoch, of the whole gradient vector
+    clip_scale: list = field(default_factory=list)  # per epoch, min(1, clip_norm / grad_norm)
     epochs: int = 0
     x0: list = field(default_factory=list)  # per sample; fitted ones if they were fitted
     params: list = field(default_factory=list)  # {name: value} per sample, likewise
 
     def to_json(self) -> str:
         return json.dumps({"epochs": self.epochs, "loss": self.loss, "me": self.me,
-                           "sym": self.sym, "x0": [list(map(float, x)) for x in self.x0],
+                           "sym": self.sym, "grad_norm": self.grad_norm,
+                           "clip_scale": self.clip_scale,
+                           "x0": [list(map(float, x)) for x in self.x0],
                            "params": self.params}, indent=1)
 
 
@@ -398,8 +402,10 @@ def train(net: Network, samples, config: TrainConfig) -> tuple[Network, TrainRep
         report.loss.append(total)
         report.me.append(me)
         report.sym.append(sym)
-        gnorm = np.sqrt(np.sum(batch.grad ** 2))
+        gnorm = float(np.sqrt(np.sum(batch.grad ** 2)))
         scale = min(1.0, config.clip_norm / gnorm) if gnorm > 0 else 1.0
+        report.grad_norm.append(gnorm)
+        report.clip_scale.append(scale)
         m, v = _adam_step(batch.theta, scale * batch.grad, m, v, epoch + 1, config.learning_rate)
         batch.install(net)
     for i, (_, _, live) in batch.kicks.items():

@@ -1,5 +1,8 @@
 """Shared lattices and helpers for the test suite."""
 
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -119,6 +122,15 @@ def transfer_line_text(bad_dx: float = 0.0, bad_cell: int = 6, n: int = 12) -> s
         seq.append(f"c{i}, d, q{i}, d, m{i}")
     lines.append("line: sequence = (" + ", ".join(seq) + ");")
     return "\n".join(lines)
+
+
+def perfbench_lattices() -> list:
+    """(lattice text, merge policy) of each network the benchmark's workloads build."""
+    w = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+    return [(w["SEXTUPOLE_RING_TEXT"], "per_element"), (w["FODO12_TEXT"], "per_element"),
+            (w["cell_ring_text"](20, 7), "minimal"), (w["achromat_text"]({}), "minimal"),
+            (w["achromat_text"]({3: 1e-4}), "minimal"), (w["transfer_line_text"](), "minimal"),
+            (w["transfer_line_text"](5, 8.5e-3), "minimal")]
 
 
 def build(text: str, order: int = 2, merge: str = "per_element", **kw):

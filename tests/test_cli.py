@@ -164,8 +164,10 @@ def test_train_report_carries_fitted_x0(tmp_path):
     out, report = tmp_path / "m2.json", tmp_path / "report.json"
     assert run("train", model, "--data", data, "--x0-json", x0, "--epochs", "5",
                "--trainable", "bpm", "--fit-x0", "-o", out, "--report", report) == 0
-    fitted = json.loads(report.read_text())["x0"]
+    written = json.loads(report.read_text())
+    fitted = written["x0"]
     assert len(fitted) == 1 and fitted[0] != [1.1e-3, 0, 0, 0]
+    assert len(written["grad_norm"]) == len(written["clip_scale"]) == 5
 
 
 @pytest.mark.parametrize("flag, value, name", [("--clip-norm", "-1", "clip_norm"),
@@ -339,6 +341,40 @@ def test_correct_c_max_must_be_finite_and_positive(tmp_path, capsys, value):
     assert run("correct", line, "--observed", orbit, f"--c-max={value}", "-o", out) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert "--c-max" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_correct_prints_and_writes_the_clipped_correctors(tmp_path, capsys):
+    lat, line, orbit = tmp_path / "line.lat", tmp_path / "line.json", tmp_path / "o.csv"
+    lat.write_text(transfer_line_text(bad_dx=2e-4))
+    assert run("build", lat, "-o", line) == 0
+    assert run("track", line, "--x0", "0,0,0,0", "--turns", "1", "--aperture", "1",
+               "-o", orbit) == 0
+    result = tmp_path / "r.json"
+    assert run("correct", line, "--observed", orbit, "--result", result,
+               "-o", tmp_path / "c.json") == 0
+    assert "clipped" not in capsys.readouterr().out
+    assert json.loads(result.read_text())["clipped"] == []
+    assert run("correct", line, "--observed", orbit, "--c-max", "1e-6", "--result", result,
+               "-o", tmp_path / "c.json") == 0
+    clipped = json.loads(result.read_text())["clipped"]
+    assert clipped and f"clipped at ±1e-06 rad: {', '.join(clipped)}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("track", "--aperture", "-1"), ("track", "--aperture", "nan"), ("track", "--x0", "nan,0,0,0"),
+    ("portrait", "--amplitudes", "nan"), ("build", "--order", "0")])
+def test_malformed_numeric_flag_is_input_error(fodo_path, tmp_path, capsys, command, flag, value):
+    model = tmp_path / "m.json"
+    assert run("build", fodo_path, "-o", model) == 0
+    out = tmp_path / "out"
+    argv = {"track": ["track", model, "--x0", "1e-3,0,0,0", "--turns", "3"],
+            "portrait": ["portrait", model, "--amplitudes", "1e-3", "--turns", "3"],
+            "build": ["build", fodo_path]}[command]
+    capsys.readouterr()
+    assert run(*argv, f"{flag}={value}", "-o", out) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
     assert not out.exists()
 
 

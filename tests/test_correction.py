@@ -1,5 +1,7 @@
 """Orbit correction and beam threading on misaligned transfer lines."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,22 @@ def test_result_serialization():
     result = correct_orbit(net, observed)
     assert "rms_after" in result.to_json()
     assert result.kicks_csv().splitlines()[0] == "corrector,kick"
+
+
+@pytest.mark.parametrize("method", ["lstsq", "adam"])
+def test_clipped_correctors_are_reported(method):
+    net = build(achromat_text({}), merge="minimal")
+    machine = build(achromat_text({i: (-1) ** i * 1e-4 for i in range(1, 11)}), merge="minimal")
+    observed = simulate_readings(MachineSim(machine), np.zeros(4))
+    adam = TrainConfig(learning_rate=1e-5, epochs=300, sym_weight=0.0, clip_norm=1e-2)
+    free = correct_orbit(net, observed, method=method, adam_config=adam)
+    assert free.clipped == [] and json.loads(free.to_json())["clipped"] == []
+    c_max = 0.5 * max(abs(k) for k in free.kicks.values())
+    result = correct_orbit(net, observed, method=method, c_max=c_max, adam_config=adam)
+    assert result.clipped == [n for n, k in free.kicks.items() if abs(k) > c_max]
+    assert result.clipped and all(abs(result.kicks[n]) == c_max for n in result.clipped)
+    assert all(abs(k) < c_max for n, k in result.kicks.items() if n not in result.clipped)
+    assert json.loads(result.to_json())["clipped"] == result.clipped
 
 
 def test_thread_beam_clean_machine_stops_immediately():

@@ -1,8 +1,5 @@
 """Lattice grammar: parsing, serialization, monitor splitting, segment plans."""
 
-import runpy
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +9,8 @@ from polytrack.lattice import (LatticeError, Segment, parse_lattice, plan_segmen
                                serialize_lattice, split_at_monitors)
 
 from conftest import (FODO12_TEXT, FODO_MONITORED_TEXT, LINEAR_RING_TEXT, SEXTUPOLE_RING_TEXT,
-                      achromat_text, cell_ring_text, resonant_ring_text, transfer_line_text)
+                      achromat_text, cell_ring_text, perfbench_lattices, resonant_ring_text,
+                      transfer_line_text)
 
 
 BASIC = "d1: drift, l=1.0;\nqf: quadrupole, l=0.5, k1=1.2;\nring: sequence = (qf, d1);"
@@ -175,19 +173,12 @@ EVERY_KIND_TEXT = ("d: drift, l=1.0;\nq: quadrupole, l=0.5, k1=0.8, parametric=t
                    "s: sequence = (q, d, m1, hc, vc, mk, sx, d, q, q, b, m2, d);")
 
 
-def _perfbench_lattices():
-    """The lattice texts of the benchmark's workloads."""
-    w = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
-    return [w["SEXTUPOLE_RING_TEXT"], w["FODO12_TEXT"], w["cell_ring_text"](20, 7),
-            w["achromat_text"]({3: 1e-4}), w["transfer_line_text"](5, 8.5e-3)]
-
-
 def test_per_element_plan_equals_the_reference_loop():
     texts = [FODO12_TEXT, FODO_MONITORED_TEXT, SEXTUPOLE_RING_TEXT, LINEAR_RING_TEXT,
              resonant_ring_text(2.0), cell_ring_text(20, parametric_cell=7, detuned_cell=3),
              achromat_text({i: (-1) ** i * 1e-4 for i in range(1, 11)}),
              transfer_line_text(bad_dx=8e-3), EVERY_KIND_TEXT]
-    for text in texts + _perfbench_lattices():
+    for text in texts + [text for text, _ in perfbench_lattices()]:
         doc = split_at_monitors(parse_lattice(text))
         assert plan_segments(doc, "per_element") == _reference_per_element(doc)
 

@@ -16,7 +16,7 @@ from polytrack.network import (MODEL_FORMAT_VERSION, Layer, ModelFormatError, Ne
 from polytrack.polymap import ShapeError, TaylorMap, compose_chain
 
 from conftest import (FODO12_TEXT, FODO_MONITORED_TEXT, SEXTUPOLE_RING_TEXT, achromat_text,
-                      build, cell_ring_text, full_evaluate, random_map,
+                      build, cell_ring_text, full_evaluate, perfbench_lattices, random_map,
                       reference_forward)
 
 
@@ -345,15 +345,89 @@ def test_missing_parameter_value_raises():
     assert np.all(np.isfinite(out))
 
 
-def test_large_synthetic_network_builds_and_serializes():
+def _line_1519():
     defs = ["d: drift, l=0.1;", "q: quadrupole, l=0.2, k1=0.9;"]
     defs += [f"m{i}: monitor;" for i in range(506)]
     cells = ", ".join(f"d, q, m{i}" for i in range(506)) + ", d"  # 1519 elements
-    text = "\n".join(defs) + f"\ns: sequence = ({cells});"
-    net = build(text, merge="per_element")
+    return "\n".join(defs) + f"\ns: sequence = ({cells});"
+
+
+def test_large_synthetic_network_builds_and_serializes():
+    net = build(_line_1519(), merge="per_element")
     assert len(net.layers) == 1519
     again = load_model(save_model(net))
     assert len(again.layers) == 1519
+
+
+# -- one map per distinct element and segment -------------------------------------
+
+def _reference_build(doc, order, merge_policy):
+    """`build_network` as it was before it shared maps: every element built on its own."""
+    layers = []
+    for seg in plan_segments(doc, merge_policy):
+        maps = [elem.element_map(doc.definitions[name], 4, order) for name in seg.element_names]
+        params = (doc.definitions[seg.element_names[0]].name,) if seg.kind == "parametric" else ()
+        layers.append(Layer(compose_chain(maps), tap=seg.tap, trainable=seg.trainable,
+                            label=seg.label, kind=seg.kind, params=params))
+    return Network(layers)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_shared_maps_bit_equal_to_building_every_element(order):
+    for text, merge in perfbench_lattices():
+        doc = split_at_monitors(parse_lattice(text))
+        for policy in (merge, {"minimal": "per_element", "per_element": "minimal"}[merge]):
+            got, want = build_network(doc, order, policy), _reference_build(doc, order, policy)
+            assert len(got.layers) == len(want.layers)
+            for a, b in zip(got.layers, want.layers):
+                assert (a.label, a.tap, a.trainable, a.kind, a.params) == \
+                       (b.label, b.tap, b.trainable, b.kind, b.params)
+                assert a.map.flat_coefficients().tobytes() == b.map.flat_coefficients().tobytes()
+            assert save_model(got) == save_model(want)
+
+
+def test_1519_layer_line_builds_three_element_maps(monkeypatch):
+    calls = []
+    original = elem.element_map
+
+    def counted(spec, *args, **kwargs):
+        calls.append(spec.name)
+        return original(spec, *args, **kwargs)
+
+    monkeypatch.setattr(elem, "element_map", counted)
+    net = build(_line_1519(), merge="per_element")
+    assert len(net.layers) == 1519
+    assert calls == ["d", "q", "m0"]  # each distinct element once, at its first appearance
+    assert len({id(l.map) for l in net.layers}) == 3
+    calls.clear()
+    net = build(_line_1519(), merge="minimal")
+    assert len(calls) == 3 and len({id(l.map) for l in net.layers}) == 2  # (d, q, m) cells, last d
+
+
+def test_signed_zero_kicks_keep_their_own_bits():
+    net = build("p: hcorrector, kick=0.0;\nn: hcorrector, kick=-0.0;\n"
+                "p2: hcorrector, kick=0.0;\nd: drift, l=1.0;\n"
+                "s: sequence = (p, d, n, d, p2);")
+    p, n, p2 = (net.layers[i].map for i in (0, 2, 4))
+    assert p is p2 and n is not p
+    assert not np.signbit(p.flat_coefficients()[1, 0])
+    assert np.signbit(n.flat_coefficients()[1, 0])
+    again = load_model(save_model(net))
+    assert np.signbit(again.layers[2].map.flat_coefficients()[1, 0])
+
+
+def test_indented_model_file_still_loads_bit_exactly():
+    net = build(cell_ring_text(4, parametric_cell=2), order=3, merge="minimal")
+    blob = save_model(net)
+    assert b"\n" not in blob  # compact JSON
+    indented = json.dumps(json.loads(blob), indent=1).encode()  # the earlier file layout
+    assert len(indented) > len(blob)
+    again = load_model(indented)
+    for a, b in zip(net.layers, again.layers):
+        assert (a.label, a.tap, a.trainable, a.kind, a.params) == \
+               (b.label, b.tap, b.trainable, b.kind, b.params)
+        assert a.map.flat_coefficients().tobytes() == b.map.flat_coefficients().tobytes()
+    assert save_model(again) == blob
 
 
 # -- track CSV -------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytrack.basis import get_basis, n_monomials
+from polytrack.basis import MonomialBasis, get_basis, n_monomials
 from polytrack.elements import KINDS, ElementSpec, drift_map, element_map, parametric_quad_map
 from polytrack.polymap import (ShapeError, TaylorMap, compose, compose_chain,
                                evaluate, evaluate_batch, jacobian, kron_power)
@@ -392,6 +392,34 @@ def test_compose_bit_equal_to_block_reference(rng, order):
         assert got.flat_coefficients().tobytes() == want.flat_coefficients().tobytes()
         for a, b in zip(got.weights, want.weights):
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_compose_into_a_map_of_lower_live_degree_bit_equal_to_block_reference(
+        rng, monkeypatch, order):
+    """Outer maps whose top degrees are zero (a constant, an affine map, ...) grow only the
+    middle monomials they use; the result still has every bit of the full growth."""
+    products = []
+    original = MonomialBasis.multiply
+
+    def counted(self, a, b):
+        products.append(None)
+        return original(self, a, b)
+
+    for n in range(1, 7):
+        for top in range(order):
+            flat = np.array(random_map(rng, n, order=order).flat_coefficients())
+            flat[:, get_basis(n, top).size:] = 0.0
+            second = TaylorMap.from_flat(flat, n, order)
+            assert second._live[0].max_order == top
+            first = random_map(rng, n, order=order)
+            want = _block_compose(first, second)
+            with monkeypatch.context() as patch:
+                patch.setattr(MonomialBasis, "multiply", counted)
+                products.clear()
+                got = compose(first, second)
+            assert len(products) == max(top - 1, 0)  # one per grown degree >= 2
+            assert got.flat_coefficients().tobytes() == want.flat_coefficients().tobytes()
 
 
 def test_from_flat_neither_freezes_nor_aliases(rng):

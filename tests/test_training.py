@@ -295,6 +295,27 @@ def test_train_leaves_callers_samples_untouched():
     assert report["params"] == [{"q": rep.params[0]["q"]}]
 
 
+def test_report_records_gradient_norm_and_clip_scale():
+    net = build(achromat_text({}), merge="minimal")
+    machine = build(achromat_text({i: 5e-5 * (-1) ** i for i in range(1, 11)}), merge="minimal")
+    sample = TrainSample(np.zeros(4), track_turns(machine, np.zeros(4), 1, aperture=1e9))
+    names = [f"c{i}" for i in range(1, 11)]
+    first = gradients(net, [sample], TrainConfig(sym_weight=0.0, trainable_labels=names))[0]
+    g0 = float(np.sqrt(sum(np.sum(g ** 2) for g in first.values())))
+    for clip_norm in (g0 / 4, 4 * g0):  # the first epoch clipped, then not
+        cfg = TrainConfig(epochs=6, learning_rate=1e-5, clip_norm=clip_norm, sym_weight=0.0,
+                          trainable_labels=names)
+        _, report = train(net, [sample], cfg)
+        assert len(report.grad_norm) == len(report.clip_scale) == cfg.epochs
+        assert report.grad_norm[0] == pytest.approx(g0, rel=1e-12)
+        for norm, scale in zip(report.grad_norm, report.clip_scale):
+            assert norm > 0 and scale == min(1.0, clip_norm / norm)
+        assert (report.clip_scale[0] < 1.0) == (clip_norm < g0)
+        written = json.loads(report.to_json())
+        assert written["grad_norm"] == report.grad_norm
+        assert written["clip_scale"] == report.clip_scale
+
+
 def test_training_is_deterministic():
     net = _ring()
     sample_a = _sample(net, n_turns=2)
@@ -670,14 +691,15 @@ def test_kick_only_layers_build_their_caches_once_per_call(monkeypatch):
     cfg = TrainConfig(epochs=8, learning_rate=1e-5, sym_weight=1.0, trainable_labels=names)
     trained, _ = train(net, [sample], cfg)
     correctors = {id(l.map) for l in net.layers if l.label in names}
-    assert len(jacobians) == len(net.layers)  # every map once, each corrector's first one only
+    distinct = len({id(l.map) for l in net.layers})  # identical layers share one map
+    assert len(jacobians) == distinct  # every map once, each corrector's first one only
     assert correctors <= {id(m) for m in jacobians}
-    assert sorted(id(m) for m in residuals) == sorted(correctors)
+    assert len(residuals) == len(names) and {id(m) for m in residuals} == correctors
     moved = get_kicks(trained)
     assert all(moved[n] != 0.0 for n in names)
     # a second call reuses every map's Jacobian and builds each corrector's residual once
     train(net, [sample], cfg)
-    assert len(jacobians) == len(net.layers) and len(residuals) == 2 * len(names)
+    assert len(jacobians) == distinct and len(residuals) == 2 * len(names)
 
 
 def test_kick_only_training_builds_each_corrector_map_once(monkeypatch):
